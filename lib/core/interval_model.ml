@@ -234,22 +234,42 @@ module Hot_memo = struct
     end
 end
 
-type mt_eval = {
-  ev_cycles : float;
-  ev_components : components;
-  ev_uops : float;
-  ev_instructions : float;
-  ev_mispredicts : float;
-  ev_load_misses : float * float * float;
-  ev_dram_loads : float;
-  ev_dram_stores : float;
-  ev_mlp : float;
-  ev_limits : Dispatch_model.limits;
-  ev_mix : Isa.Class_counts.t;
-  ev_start : int;
+(* ---- Stages ----
+
+   A prediction is computed in two stages, keyed by the [Uarch] sub-records
+   each reads (the table is in interval_model.mli): [core_stage] reads
+   [core], [caches] and [prefetcher]; [finish] reads [memory].  Nothing
+   reads [predictor] or [operating_point], and [name] only labels the
+   result, so a sweep whose inner axes vary only [memory] (or only the
+   operating point) can reuse the outer stage's result. *)
+
+(* What the core stage leaves for the memory stage, per micro-trace. *)
+type mt_core = {
+  mc_mt : Profile.microtrace;
+  mc_uops : float;
+  mc_instructions : float;
+  mc_load_misses : float * float * float;  (* loads x L1/L2/L3 miss ratio *)
+  mc_llc_store_misses : float;
+  mc_m3 : float;  (* per-load LLC miss ratio *)
+  mc_i3 : float;  (* per-instruction LLC miss ratio *)
+  mc_icache_onchip : float;  (* per-instruction L2 and L3 refill latency *)
+  mc_limits : Dispatch_model.limits;
+  mc_base : float;
+  mc_mispredicts : float;
+  mc_branch_penalty : float;  (* resolution without the memory term *)
+  mc_llc_on_path : float;  (* LLC-missing loads on the average branch path *)
+  mc_llc_chain : float;
+  mc_mlp : Mlp_model.result option;  (* [None]: depends on [memory] *)
 }
 
-let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t)
+type core_result = {
+  cr_options : options;
+  cr_profile : Profile.t;
+  cr_inst_ratios : float * float * float;
+  cr_mts : mt_core array;
+}
+
+let core_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t)
     ~inst_ratios ~cold_corr ~load_stack ~store_stack (mt : Profile.microtrace) =
   let core = u.core in
   (* Per-domain memo tables; only meaningful in [`Separate] mode, where
@@ -292,12 +312,7 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t)
       | Some r -> r
       | None -> cached_ratios ((2 * mt.mt_index) + 1) store_stack)
   in
-  let i1, i2, i3 =
-    monotone
-      (match opts.overrides.ov_inst_miss_ratios with
-      | Some r -> r
-      | None -> inst_ratios)
-  in
+  let i1, i2, i3 = inst_ratios in
   (* ---- Base component: effective dispatch rate ---- *)
   let c = u.caches in
   let load_latency =
@@ -359,7 +374,7 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t)
   let deff = Dispatch_model.effective_rate limits in
   let work = if opts.use_uops then n_uops else n_instr in
   let base = work /. deff in
-  (* ---- Branch component ---- *)
+  (* ---- Branch component, up to its memory term ---- *)
   let missrate =
     match opts.overrides.ov_branch_missrate with
     | Some r -> r
@@ -367,8 +382,8 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t)
   in
   let branches = float_of_int mt.mt_branches in
   let mispredicts = branches *. missrate in
-  let branch_cycles =
-    if mispredicts <= 0.0 then 0.0
+  let branch_penalty, llc_on_path =
+    if mispredicts <= 0.0 then (0.0, 0.0)
     else begin
       let between = n_uops /. mispredicts in
       (* A branch whose resolution path contains an LLC-missing load waits
@@ -377,12 +392,6 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t)
          accounts for short-latency operations). *)
       let abp = Profile.chain_at mt.mt_chains ~which:`Abp core.rob_size in
       let llc_on_path = abp *. load_fraction *. m3 in
-      (* At most one outstanding access gates the branch at a time, and on
-         average half its latency has already elapsed (and is charged to
-         the DRAM term) when the branch reaches it. *)
-      let memory_resolution =
-        Float.min 1.0 llc_on_path *. (0.5 *. float_of_int u.memory.dram_latency)
-      in
       (* The leaky-bucket resolution time is an iterative fixed point —
          by far the most expensive pure function here — and depends only
          on (micro-trace, width, ROB, frontend depth, avg latency,
@@ -408,33 +417,103 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t)
             Hashtbl.replace m.Hot_memo.branch key p;
             p)
       in
-      mispredicts *. (base_penalty +. memory_resolution)
+      (base_penalty, llc_on_path)
+    end
+  in
+  (* ---- MLP, unless it reads the memory system ---- *)
+  let mlp =
+    if not opts.model_mlp then Some Mlp_model.no_mlp
+    else
+      match opts.mlp_model with
+      | `Cold ->
+        Some
+          (Mlp_model.cold_miss ~mt ~cold_scale:cold_corr ~rob_size:core.rob_size
+             ~llc_load_miss_rate:m3 ~load_fraction)
+      | `Stride
+        when opts.model_prefetch && u.prefetcher.pf_enabled
+             && u.prefetcher.pf_kind = Uarch.Pf_stride ->
+        (* the prefetcher model reads the memory system *)
+        None
+      | `Stride ->
+        Some
+          (Mlp_model.stride ~mt ~uarch:u ~llc_lines:(lines c.l3)
+             ~llc_load_miss_rate:m3 ~model_prefetch:false)
+  in
+  (* ---- Chained LLC hits ---- *)
+  let llc_chain =
+    if opts.model_llc_chain then
+      Llc_chain.penalty ~mt ~uarch:u ~llc_hit_rate:(Float.max 0.0 (m2 -. m3))
+        ~load_fraction ~effective_dispatch_rate:deff
+    else 0.0
+  in
+  {
+    mc_mt = mt;
+    mc_uops = n_uops;
+    mc_instructions = n_instr;
+    mc_load_misses = (loads *. m1, loads *. m2, loads *. m3);
+    mc_llc_store_misses = stores *. s3;
+    mc_m3 = m3;
+    mc_i3 = i3;
+    mc_icache_onchip =
+      ((i1 -. i2) *. float_of_int c.l2.latency)
+      +. ((i2 -. i3) *. float_of_int c.l3.latency);
+    mc_limits = limits;
+    mc_base = base;
+    mc_mispredicts = mispredicts;
+    mc_branch_penalty = branch_penalty;
+    mc_llc_on_path = llc_on_path;
+    mc_llc_chain = llc_chain;
+    mc_mlp = mlp;
+  }
+
+type mt_eval = {
+  ev_cycles : float;
+  ev_components : components;
+  ev_uops : float;
+  ev_instructions : float;
+  ev_mispredicts : float;
+  ev_load_misses : float * float * float;
+  ev_dram_loads : float;
+  ev_dram_stores : float;
+  ev_mlp : float;
+  ev_limits : Dispatch_model.limits;
+  ev_mix : Isa.Class_counts.t;
+  ev_start : int;
+}
+
+(* The memory stage of one micro-trace.  [u] must agree with the core
+   stage's configuration on [core], [caches] and [prefetcher]. *)
+let finish_microtrace (opts : options) (u : Uarch.t) mc =
+  let mem = u.memory in
+  let dram_latency = float_of_int mem.dram_latency in
+  let mispredicts = mc.mc_mispredicts in
+  let branch_cycles =
+    if mispredicts <= 0.0 then 0.0
+    else begin
+      (* At most one outstanding access gates the branch at a time, and on
+         average half its latency has already elapsed (and is charged to
+         the DRAM term) when the branch reaches it. *)
+      let memory_resolution =
+        Float.min 1.0 mc.mc_llc_on_path *. (0.5 *. dram_latency)
+      in
+      mispredicts *. (mc.mc_branch_penalty +. memory_resolution)
     end
   in
   (* ---- I-cache component ---- *)
   let icache_cycles =
-    n_instr
-    *. (((i1 -. i2) *. float_of_int c.l2.latency)
-        +. ((i2 -. i3) *. float_of_int c.l3.latency)
-        +. (i3
-            *. float_of_int (u.memory.dram_latency + u.memory.bus_transfer)))
+    mc.mc_instructions
+    *. (mc.mc_icache_onchip
+        +. (mc.mc_i3 *. float_of_int (mem.dram_latency + mem.bus_transfer)))
   in
   (* ---- DRAM component ---- *)
-  let llc_load_misses = loads *. m3 in
-  let llc_store_misses = stores *. s3 in
+  let _, _, llc_load_misses = mc.mc_load_misses in
+  let llc_store_misses = mc.mc_llc_store_misses in
   let mlp_result =
-    if not opts.model_mlp then Mlp_model.no_mlp
-    else
-      match opts.mlp_model with
-      | `Cold ->
-        Mlp_model.cold_miss ~mt ~cold_scale:cold_corr ~rob_size:core.rob_size
-          ~llc_load_miss_rate:m3 ~load_fraction
-      | `Stride ->
-        Mlp_model.stride ~mt ~uarch:u ~llc_lines:(lines c.l3)
-          ~llc_load_miss_rate:m3
-          ~model_prefetch:
-            (opts.model_prefetch && u.prefetcher.pf_enabled
-            && u.prefetcher.pf_kind = Uarch.Pf_stride)
+    match mc.mc_mlp with
+    | Some r -> r
+    | None ->
+      Mlp_model.stride ~mt:mc.mc_mt ~uarch:u ~llc_lines:(lines u.caches.l3)
+        ~llc_load_miss_rate:mc.mc_m3 ~model_prefetch:true
   in
   (* A measured (overridden) MLP is already *effective*: the simulator's
      MSHR pressure and bus serialization stretched the intervals it was
@@ -447,8 +526,8 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t)
   let mlp =
     if not opts.model_mlp then 1.0
     else if opts.model_mshr && not mlp_measured then
-      Mlp_model.mshr_cap ~mlp:mlp_raw ~mshr_entries:core.mshr_entries
-        ~dram_latency:u.memory.dram_latency
+      Mlp_model.mshr_cap ~mlp:mlp_raw ~mshr_entries:u.core.mshr_entries
+        ~dram_latency:mem.dram_latency
     else mlp_raw
   in
   let covered = mlp_result.prefetch_coverage in
@@ -459,12 +538,10 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t)
        bus ahead of demand misses without stalling the core directly. *)
     if opts.model_bus && not mlp_measured then
       Mlp_model.bus_queue_cycles ~mlp ~load_misses:effective_dram_loads
-        ~store_misses:covered_loads ~bus_transfer:u.memory.bus_transfer
+        ~store_misses:covered_loads ~bus_transfer:mem.bus_transfer
     else 0.0
   in
-  let dram_latency_effective =
-    float_of_int u.memory.dram_latency *. mlp_result.prefetch_partial_factor
-  in
+  let dram_latency_effective = dram_latency *. mlp_result.prefetch_partial_factor in
   let dram_cycles =
     if effective_dram_loads +. llc_store_misses <= 0.0 then 0.0
     else begin
@@ -479,7 +556,7 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t)
            floor would double-count it. *)
         if opts.model_bus && not mlp_measured then
           (effective_dram_loads +. llc_store_misses)
-          *. float_of_int u.memory.bus_transfer
+          *. float_of_int mem.bus_transfer
         else 0.0
       in
       Float.max latency_bound bandwidth_bound
@@ -491,39 +568,32 @@ let evaluate_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t)
      the DRAM component (first-order overlap correction; the flat
      interval equation would charge both in full). *)
   let dram_cycles =
-    let denom = base +. branch_cycles +. icache_cycles +. dram_cycles in
+    let denom = mc.mc_base +. branch_cycles +. icache_cycles +. dram_cycles in
     if denom <= 0.0 then dram_cycles
     else dram_cycles *. Float.max 0.0 (1.0 -. (icache_cycles /. denom))
   in
-  (* ---- Chained LLC hits ---- *)
-  let llc_chain_cycles =
-    if opts.model_llc_chain then
-      Llc_chain.penalty ~mt ~uarch:u ~llc_hit_rate:(Float.max 0.0 (m2 -. m3))
-        ~load_fraction ~effective_dispatch_rate:deff
-    else 0.0
-  in
   let comps =
     {
-      c_base = base;
+      c_base = mc.mc_base;
       c_branch = branch_cycles;
       c_icache = icache_cycles;
-      c_llc_hit = llc_chain_cycles;
+      c_llc_hit = mc.mc_llc_chain;
       c_dram = dram_cycles;
     }
   in
   {
     ev_cycles = components_total comps;
     ev_components = comps;
-    ev_uops = n_uops;
-    ev_instructions = n_instr;
+    ev_uops = mc.mc_uops;
+    ev_instructions = mc.mc_instructions;
     ev_mispredicts = mispredicts;
-    ev_load_misses = (loads *. m1, loads *. m2, loads *. m3);
+    ev_load_misses = mc.mc_load_misses;
     ev_dram_loads = effective_dram_loads;
     ev_dram_stores = llc_store_misses;
     ev_mlp = mlp;
-    ev_limits = limits;
-    ev_mix = mt.mt_mix;
-    ev_start = mt.mt_start_instruction;
+    ev_limits = mc.mc_limits;
+    ev_mix = mc.mc_mt.mt_mix;
+    ev_start = mc.mc_mt.mt_start_instruction;
   }
 
 (* Merge all micro-traces into one averaged profile — the ISPASS'15
@@ -610,7 +680,7 @@ let combined_microtrace (profile : Profile.t) : Profile.microtrace =
     mt_branches = sum (fun mt -> mt.Profile.mt_branches);
   }
 
-let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
+let core_stage ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
   let inst_ratios =
     (* Same per-(capacities) memoization as the data ratios; slot -1 keeps
        the i-stream distinct from every micro-trace slot. *)
@@ -626,8 +696,14 @@ let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
       Hashtbl.replace m.Hot_memo.ratios key r;
       r
   in
+  let mt_inst_ratios =
+    monotone
+      (match options.overrides.ov_inst_miss_ratios with
+      | Some r -> r
+      | None -> inst_ratios)
+  in
   let cold_corr = Profile.cold_correction profile in
-  let evals =
+  let mts =
     match options.combine with
     | `Separate ->
       (* Memoized per-profile stacks, resolved once per domain into a
@@ -637,7 +713,7 @@ let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
       let hot = lazy (Profile.hot profile) in
       Array.map
         (fun (mt : Profile.microtrace) ->
-          evaluate_microtrace options u profile ~inst_ratios ~cold_corr
+          core_microtrace options u profile ~inst_ratios:mt_inst_ratios ~cold_corr
             ~load_stack:(lazy (Lazy.force hot).Profile.hot_load.(mt.mt_index))
             ~store_stack:(lazy (Lazy.force hot).Profile.hot_store.(mt.mt_index))
             mt)
@@ -650,7 +726,7 @@ let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
       let load_cold = Profile.load_cold_fraction profile mt in
       let store_cold = Profile.store_cold_fraction profile mt in
       [|
-        evaluate_microtrace options u profile ~inst_ratios ~cold_corr
+        core_microtrace options u profile ~inst_ratios:mt_inst_ratios ~cold_corr
           ~load_stack:
             (lazy
               (Statstack.of_reuse_histogram ~cold_fraction:load_cold
@@ -662,6 +738,12 @@ let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
           mt;
       |]
   in
+  { cr_options = options; cr_profile = profile; cr_inst_ratios = inst_ratios; cr_mts = mts }
+
+let finish cr (u : Uarch.t) =
+  let options = cr.cr_options and profile = cr.cr_profile in
+  let inst_ratios = cr.cr_inst_ratios in
+  let evals = Array.map (finish_microtrace options u) cr.cr_mts in
   (* Each micro-trace stands for its whole window. *)
   let scale_of ev =
     if ev.ev_instructions = 0.0 then 0.0
@@ -798,3 +880,16 @@ let predict ?(options = default_options) (u : Uarch.t) (profile : Profile.t) =
     pr_time_series = series;
     pr_activity = activity;
   }
+
+let predict ?options u profile = finish (core_stage ?options u profile) u
+
+(* [compare] rather than [=]: the records hold no floats, so [compare = 0]
+   is structural equality, and being total it skips physically shared
+   sub-values such as the width-keyed functional-unit lists. *)
+let same_core_inputs (a : Uarch.t) (b : Uarch.t) =
+  compare a.core b.core = 0
+  && compare a.caches b.caches = 0
+  && compare a.prefetcher b.prefetcher = 0
+
+let same_inputs (a : Uarch.t) (b : Uarch.t) =
+  compare a.memory b.memory = 0 && same_core_inputs a b

@@ -90,3 +90,46 @@ val cpi_stack : prediction -> Cpi_stack.t
 val dram_wait_cpi : prediction -> float
 
 val predict : ?options:options -> Uarch.t -> Profile.t -> prediction
+(** [predict ?options u p] is exactly [finish (core_stage ?options u p) u]:
+    one code path, split into the stages below. *)
+
+(** {1 Stages}
+
+    The model is evaluated in stages keyed by the [Uarch] sub-records each
+    one reads, so that a sweep whose inner axes leave a stage's inputs
+    unchanged can reuse that stage's result:
+
+    - {!core_stage} reads [core], [caches] and [prefetcher] (plus the
+      options and the profile).  Per micro-trace it produces the miss
+      ratios, the dispatch limits and base component, the mispredictions
+      with their memory-free resolution penalty, the chained-LLC-hit
+      cycles, and the MLP whenever it does not depend on the memory system
+      (always, except for the stride model with an enabled stride
+      prefetcher).
+    - {!finish} reads [memory]: the memory term of the branch resolution,
+      the DRAM part of the I-cache component, the stride MLP under
+      prefetching, the MSHR cap, the bus queue and the DRAM component with
+      its I-cache overlap correction; then it assembles the prediction.
+
+    No stage reads [predictor] or [operating_point] (the power model,
+    {!Power}, is the only reader of the latter), and [name] only becomes
+    [pr_uarch]. *)
+
+type core_result
+(** The core stage's result for one (options, configuration, profile). *)
+
+val core_stage : ?options:options -> Uarch.t -> Profile.t -> core_result
+
+val finish : core_result -> Uarch.t -> prediction
+(** [finish c u] completes a prediction for [u], which must agree with the
+    configuration [c] was computed for on [core], [caches] and
+    [prefetcher] ({!same_core_inputs}); [memory] and everything else may
+    differ. *)
+
+val same_core_inputs : Uarch.t -> Uarch.t -> bool
+(** The two configurations have structurally equal [core], [caches] and
+    [prefetcher]: one {!core_stage} result serves both. *)
+
+val same_inputs : Uarch.t -> Uarch.t -> bool
+(** [same_core_inputs] and equal [memory]: the two predictions differ at
+    most in [pr_uarch]. *)

@@ -293,11 +293,25 @@ let windowed_mlp ~rob_size ~total_uops (stream : vload array) =
 
 (* The stride model depends on the configuration only through the LLC
    size, ROB size and (when prefetching) the prefetcher/memory/width
-   parameters; a design-space sweep re-evaluates each micro-trace for a
+   parameters, and on the LLC miss rate only through whether it is
+   positive; a design-space sweep re-evaluates each micro-trace for a
    handful of such combinations, so memoize.  The micro-trace is
-   identified by its (immutable, process-unique) reuse-histogram id. *)
-let stride_memo : (int * int * int * int * int * int, result) Hashtbl.t =
-  Hashtbl.create 4096
+   identified by its (immutable, process-unique) reuse-histogram id.
+   The key holds every input [stride_uncached] reads, so the memo cannot
+   make the answer depend on evaluation order. *)
+type stride_key = {
+  k_histogram : int;
+  k_llc_lines : int;
+  k_rob : int;
+  k_misses : bool;  (* the LLC miss rate is positive *)
+  k_prefetch : bool;  (* the prefetcher is modeled; the fields below are 0 if not *)
+  k_table_entries : int;
+  k_dispatch_width : int;
+  k_dram_latency : int;
+  k_dram_page_bytes : int;
+}
+
+let stride_memo : (stride_key, result) Hashtbl.t = Hashtbl.create 4096
 
 (* The shared table is consulted from parallel domains, so guard it like
    [replay_memo]; each domain additionally keeps a mutex-free front cache
@@ -305,8 +319,7 @@ let stride_memo : (int * int * int * int * int * int, result) Hashtbl.t =
    harmless and the shared table keeps it rare). *)
 let stride_memo_mutex = Mutex.create ()
 
-let stride_local :
-    (int * int * int * int * int * int, result) Hashtbl.t Domain.DLS.key =
+let stride_local : (stride_key, result) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 256)
 
 let stride_uncached ~(mt : Profile.microtrace) ~(uarch : Uarch.t) ~llc_lines
@@ -347,16 +360,20 @@ let stride_uncached ~(mt : Profile.microtrace) ~(uarch : Uarch.t) ~llc_lines
 
 let stride ~(mt : Profile.microtrace) ~(uarch : Uarch.t) ~llc_lines
     ~llc_load_miss_rate ~model_prefetch =
+  let prefetch = model_prefetch && uarch.prefetcher.pf_enabled in
+  let if_prefetch v = if prefetch then v else 0 in
   let key =
-    ( Histogram.id mt.mt_reuse_load,
-      llc_lines,
-      uarch.core.rob_size,
-      int_of_float (llc_load_miss_rate *. 1e6),
-      (if model_prefetch && uarch.prefetcher.pf_enabled then 1 else 0),
-      (if model_prefetch && uarch.prefetcher.pf_enabled then
-         (uarch.prefetcher.pf_table_entries * 1_000_000)
-         + (uarch.core.dispatch_width * 100_000) + uarch.memory.dram_latency
-       else 0) )
+    {
+      k_histogram = Histogram.id mt.mt_reuse_load;
+      k_llc_lines = llc_lines;
+      k_rob = uarch.core.rob_size;
+      k_misses = not (llc_load_miss_rate <= 0.0);
+      k_prefetch = prefetch;
+      k_table_entries = if_prefetch uarch.prefetcher.pf_table_entries;
+      k_dispatch_width = if_prefetch uarch.core.dispatch_width;
+      k_dram_latency = if_prefetch uarch.memory.dram_latency;
+      k_dram_page_bytes = if_prefetch uarch.memory.dram_page_bytes;
+    }
   in
   let local = Domain.DLS.get stride_local in
   match Hashtbl.find_opt local key with

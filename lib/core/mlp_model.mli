@@ -47,7 +47,10 @@ val stride :
     stride category; dependences between loads from the inter-load
     dependence distribution; the prefetcher model walks the same stream
     with a bounded table, page limits and the Eq 4.13 timeliness rule
-    when [model_prefetch] holds and the configuration enables it. *)
+    when [model_prefetch] holds and the configuration enables it.
+    [llc_load_miss_rate] only gates the model ([no_mlp] unless positive).
+    Results are memoized on exactly the inputs they read, so they do not
+    depend on evaluation order. *)
 
 val histogram_replayer : Histogram.t -> unit -> int
 (** Deterministic cyclic replay of a histogram's keys, each repeated by

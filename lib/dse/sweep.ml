@@ -33,6 +33,12 @@ let of_sim config ~index (r : Sim_result.t) =
   make config ~index ~cycles:(float_of_int r.r_cycles)
     ~instructions:(float_of_int r.r_instructions) ~activity:r.r_activity
 
+let pareto_points evals =
+  List.map
+    (fun e ->
+      { Pareto.pt_id = e.sw_index; pt_delay = e.sw_seconds; pt_power = e.sw_watts })
+    evals
+
 (* ---- Fault-isolated engine ---- *)
 
 type point_result = (eval, Fault.t) result
@@ -337,13 +343,14 @@ type stream_summary = {
 }
 
 (* Evaluate points [start, stop) sequentially in index order, folding
-   them into a stats vector and a local Pareto front.  Reuses
-   [Parallel.map_result ~jobs:1] purely for its exception-capture
-   semantics, so a crashing point faults exactly as in [run_generic]. *)
+   them into a stats vector and a local Pareto front, whose evals the
+   block also returns.  Reuses [Parallel.map_result ~jobs:1] purely for
+   its exception-capture semantics, so a crashing point faults exactly as
+   in [run_generic]. *)
 let eval_block ~eval_point ~on_point ~start ~stop =
   let stats = init_stats () in
   let first_fault = ref None in
-  let pts = ref [] in
+  let oks = Array.make (stop - start) None in
   let idxs = List.init (stop - start) (fun k -> start + k) in
   let results = Parallel.map_result ~jobs:1 eval_point idxs in
   List.iter2
@@ -374,21 +381,35 @@ let eval_block ~eval_point ~on_point ~start ~stop =
           stats.(s_min_ed2p) <- e.sw_ed2p;
           stats.(s_arg_ed2p) <- float_of_int i
         end;
-        pts :=
-          { Pareto.pt_id = i; pt_delay = e.sw_seconds; pt_power = e.sw_watts }
-          :: !pts)
+        oks.(i - start) <- Some e)
     idxs results;
   let front =
-    Pareto.frontier (List.rev !pts)
-    |> List.map (fun (p : Pareto.point) -> (p.pt_id, p.pt_delay, p.pt_power))
+    Pareto.frontier (pareto_points (List.filter_map Fun.id (Array.to_list oks)))
   in
-  (stats, front, !first_fault)
+  ( stats,
+    List.map (fun (p : Pareto.point) -> (p.pt_id, p.pt_delay, p.pt_power)) front,
+    List.map (fun (p : Pareto.point) -> Option.get oks.(p.pt_id - start)) front,
+    !first_fault )
+
+(* The evals of [evals] that lie on their own Pareto front.  Pruning the
+   carried front evals with it keeps every point of the final front: a
+   point on the front of all points is on the front of any subset holding
+   it (ties keep the lowest id either way). *)
+let on_front evals =
+  let front = Pareto.frontier (pareto_points evals) in
+  List.filter
+    (fun e -> List.exists (fun (p : Pareto.point) -> p.pt_id = e.sw_index) front)
+    evals
 
 let default_block_size = 4096
 
-let run_stream ?(jobs = 1) ?checkpoint ?(block_size = default_block_size)
+(* [evaluator ()] makes a point evaluator for one block: each block (and
+   the re-derivation of resumed front points) gets a fresh one, so any
+   state an evaluator keeps belongs to one block and the summary cannot
+   depend on [jobs]. *)
+let stream ?(jobs = 1) ?checkpoint ?(block_size = default_block_size)
     ?(keep_going = true) ?on_point ~workload ~n_points ?(offset = 0) ?length
-    ~eval_point () =
+    ~evaluator () =
   let length = match length with Some l -> l | None -> n_points - offset in
   if offset < 0 || length < 0 || offset > n_points - length then
     Error
@@ -460,6 +481,7 @@ let run_stream ?(jobs = 1) ?checkpoint ?(block_size = default_block_size)
           let stopped = ref false in
           let skipped = ref 0 in
           let evaluated = ref 0 in
+          let carried = ref [] in
           let sample_fault = ref None in
           List.iter
             (fun group ->
@@ -471,13 +493,19 @@ let run_stream ?(jobs = 1) ?checkpoint ?(block_size = default_block_size)
                     (fun b ->
                       let start = offset + (b * block_size) in
                       let stop = offset + min length ((b + 1) * block_size) in
-                      eval_block ~eval_point ~on_point ~start ~stop)
+                      eval_block ~eval_point:(evaluator ()) ~on_point ~start
+                        ~stop)
                     arr
                 in
+                carried :=
+                  on_front
+                    (Array.fold_left
+                       (fun acc (_, _, evals, _) -> acc @ evals)
+                       !carried out);
                 let recs =
                   Array.to_list
                     (Array.mapi
-                       (fun k (stats, front, ft) ->
+                       (fun k (stats, front, _, ft) ->
                          let b = arr.(k) in
                          let blk =
                            { Checkpoint.b_index = b; b_stats = stats;
@@ -497,7 +525,7 @@ let run_stream ?(jobs = 1) ?checkpoint ?(block_size = default_block_size)
                   ckpt_t;
                 if (not keep_going)
                    && Array.exists
-                        (fun (stats, _, _) -> stats.(s_failed) > 0.0)
+                        (fun (stats, _, _, _) -> stats.(s_failed) > 0.0)
                         out
                 then stopped := true
               end)
@@ -535,13 +563,26 @@ let run_stream ?(jobs = 1) ?checkpoint ?(block_size = default_block_size)
                      b.b_front)
             |> Pareto.frontier
           in
-          (* The front is a handful of points: re-derive their full
-             evals (deterministic [eval_point]) rather than carrying
-             every eval through the stream. *)
+          (* Freshly evaluated blocks carried their front evals; only
+             points of resumed blocks are evaluated again. *)
+          let find id = List.find_opt (fun e -> e.sw_index = id) !carried in
+          let missing =
+            List.filter_map
+              (fun (p : Pareto.point) ->
+                if find p.pt_id = None then Some p.pt_id else None)
+              front
+          in
+          let rederived =
+            List.combine missing
+              (Parallel.map_result ~jobs:1 (evaluator ()) missing)
+          in
           let front_evals =
-            Parallel.map_result ~jobs:1 eval_point
-              (List.map (fun (p : Pareto.point) -> p.pt_id) front)
-            |> List.filter_map Result.to_option
+            List.filter_map
+              (fun (p : Pareto.point) ->
+                match find p.pt_id with
+                | Some e -> Some e
+                | None -> Result.to_option (List.assoc p.pt_id rederived))
+              front
           in
           let best m a =
             if sums.(a) < 0.0 then None
@@ -574,6 +615,43 @@ let run_stream ?(jobs = 1) ?checkpoint ?(block_size = default_block_size)
             })
   end
 
+let run_stream ?jobs ?checkpoint ?block_size ?keep_going ?on_point ~workload
+    ~n_points ?offset ?length ~eval_point () =
+  stream ?jobs ?checkpoint ?block_size ?keep_going ?on_point ~workload
+    ~n_points ?offset ?length ~evaluator:(fun () -> eval_point) ()
+
+(* The staged point evaluator: it keeps the last core-stage result and the
+   last prediction with the configs they were computed for, and reuses
+   them while the next point's stage inputs are structurally equal.  In
+   index order the inner axes of a space (memory, operating point) then
+   leave most points a [finish] or a copy away from their prediction.  A
+   reused prediction differs from the stored one only in [pr_uarch], which
+   is exactly what a fresh [predict] would give. *)
+let model_evaluator ?(options = Interval_model.default_options) ?adjust
+    ~profile space =
+  let last_core = ref None and last_pred = ref None in
+  fun index ->
+    let config = Config_space.config_of_index space index in
+    let pred =
+      match !last_pred with
+      | Some (u, pred) when Interval_model.same_inputs u config ->
+        { pred with Interval_model.pr_uarch = config.Uarch.name }
+      | _ ->
+        let core =
+          match !last_core with
+          | Some (u, core) when Interval_model.same_core_inputs u config -> core
+          | _ ->
+            let core = Interval_model.core_stage ~options config profile in
+            last_core := Some (config, core);
+            core
+        in
+        let pred = Interval_model.finish core config in
+        last_pred := Some (config, pred);
+        pred
+    in
+    let cycles = Option.map (fun f -> f config pred) adjust in
+    of_prediction ?cycles config ~index pred
+
 let model_sweep_stream ?(options = Interval_model.default_options) ?jobs
     ?checkpoint ?block_size ?keep_going ?on_point ?offset ?length ?adjust
     ~profile space =
@@ -583,14 +661,10 @@ let model_sweep_stream ?(options = Interval_model.default_options) ?jobs
     (match options.combine with
     | `Separate -> Profile.prepare profile
     | `Combined -> ());
-    run_stream ?jobs ?checkpoint ?block_size ?keep_going ?on_point
+    stream ?jobs ?checkpoint ?block_size ?keep_going ?on_point
       ~workload:profile.Profile.p_workload
       ~n_points:(Config_space.size space) ?offset ?length
-      ~eval_point:(fun i ->
-        let config = Config_space.config_of_index space i in
-        let pred = Interval_model.predict ~options config profile in
-        let cycles = Option.map (fun f -> f config pred) adjust in
-        of_prediction ?cycles config ~index:i pred)
+      ~evaluator:(fun () -> model_evaluator ~options ?adjust ~profile space)
       ()
 
 (* ---- Legacy raising interface ---- *)
@@ -616,12 +690,6 @@ let model_sweep ?options ?jobs ?adjust ~profile configs =
 
 let sim_sweep ?jobs ~spec ~seed ~n_instructions configs =
   evals_exn (sim_sweep_result ?jobs ~spec ~seed ~n_instructions configs)
-
-let pareto_points evals =
-  List.map
-    (fun e ->
-      { Pareto.pt_id = e.sw_index; pt_delay = e.sw_seconds; pt_power = e.sw_watts })
-    evals
 
 let best_under_power evals ~budget_watts =
   List.fold_left

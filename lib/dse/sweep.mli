@@ -185,8 +185,9 @@ type stream_summary = {
   ss_best_ed2p : (int * float) option;
   ss_front : Pareto.point list;  (** global Pareto front of the swept range *)
   ss_front_evals : eval list;
-      (** full evals of [ss_front], re-derived by re-evaluating the (few)
-          front ids; a front point whose re-evaluation faults is omitted *)
+      (** full evals of [ss_front]: carried by the blocks this run
+          evaluated, and re-evaluated only for points of resumed blocks
+          (a front point whose re-evaluation faults is omitted) *)
   ss_sample_fault : Fault.t option;
       (** first fault seen by this run (resumed blocks only carry counts) *)
 }
@@ -207,7 +208,9 @@ val run_stream :
 (** [run_stream ~workload ~n_points ~eval_point ()] streams over points
     [offset, offset + length) (default: the whole space) in
     [block_size]-point blocks.  [eval_point] must be deterministic; a
-    raised exception or a non-finite eval faults that point alone.
+    raised exception or a non-finite eval faults that point alone.  It is
+    called once per point of every block this run evaluates, and again
+    only for front points of resumed blocks (to rebuild [ss_front_evals]).
 
     [?checkpoint] doubles as resume: the log is created if missing,
     validated (byte-identical meta) and its completed blocks restored if
@@ -221,6 +224,28 @@ val run_stream :
 
     The outer [Error] is reserved for whole-sweep failures: a bad
     sub-range or block size, or an unreadable/mismatched checkpoint. *)
+
+val model_evaluator :
+  ?options:Interval_model.options ->
+  ?adjust:(Uarch.t -> Interval_model.prediction -> float) ->
+  profile:Profile.t ->
+  Config_space.t ->
+  int ->
+  eval
+(** [model_evaluator ~profile space] is a fresh staged point evaluator:
+    applied to [i] it returns, bit for bit, what
+    [of_prediction ?cycles u ~index:i (Interval_model.predict ~options u profile)]
+    gives for [u = Config_space.config_of_index space i] (with [cycles]
+    from [?adjust u pred]).  It keeps the last
+    {!Interval_model.core_stage} result and the last prediction with their
+    configurations, and reuses them while the next point's stage inputs
+    are structurally equal ({!Interval_model.same_core_inputs},
+    {!Interval_model.same_inputs}); a reused prediction gets the point's
+    own [pr_uarch].  Points taken in index order, where the inner axes
+    vary memory and operating point, mostly skip the core stage or the
+    whole model.  The state makes an evaluator single-threaded: use one
+    per block, request or domain.  {!model_sweep_stream} makes one per
+    block; the daemon one per sweep request. *)
 
 val model_sweep_stream :
   ?options:Interval_model.options ->
@@ -238,6 +263,9 @@ val model_sweep_stream :
 (** {!run_stream} over a generated config space with the analytical
     model: configs are built per index ({!Config_space.config_of_index})
     and dropped after evaluation — no config list is ever allocated.
+    Each block evaluates its points with its own {!model_evaluator}, so
+    the summary equals {!run_stream}'s with a plain per-point
+    [Interval_model.predict] bit for bit, for any [jobs] and block size.
     Profile validation and StatStack preparation as in
     {!model_sweep_result}. *)
 

@@ -21,10 +21,17 @@ let chain_at cs ~which rob =
        clamp to the end segments outside the profiled range. *)
     let rec find i = if i >= n - 2 || sizes.(i + 1) >= rob then i else find (i + 1) in
     let i = if rob <= sizes.(0) then 0 else find 0 in
-    Fit.interpolate_log
-      (float_of_int sizes.(i), values.(i))
-      (float_of_int sizes.(i + 1), values.(i + 1))
-      (float_of_int rob)
+    let v =
+      Fit.interpolate_log
+        (float_of_int sizes.(i), values.(i))
+        (float_of_int sizes.(i + 1), values.(i + 1))
+        (float_of_int rob)
+    in
+    (* Below the smallest profiled size the log extrapolation falls
+       without bound (negative within a few halvings), but any chain
+       holds at least one micro-op: floor it there, or at the profiled
+       value when that is smaller still. *)
+    if rob < sizes.(0) then Float.max v (Float.min 1.0 values.(0)) else v
   end
 
 type cold_stats = {

@@ -17,8 +17,10 @@ type chain_stats = {
 
 val chain_at : chain_stats -> which:[ `Ap | `Abp | `Cp ] -> int -> float
 (** Chain length for an arbitrary ROB size by piecewise logarithmic
-    interpolation between profiled sizes (Eq 5.2-5.4); clamps outside the
-    profiled range using the two nearest sizes. *)
+    interpolation between profiled sizes (Eq 5.2-5.4); extrapolates outside
+    the profiled range using the two nearest sizes, floored below the
+    smallest profiled size at one micro-op (or at the profiled value, if
+    that is below one) so it never goes negative. *)
 
 type cold_stats = {
   cold_rob_sizes : int array;

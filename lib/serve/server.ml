@@ -189,6 +189,7 @@ let do_sweep t ~deadline ~rq_profile ~rq_space ~rq_offset ~rq_limit =
                "sweep batch of %d points exceeds per-request cap %d"
                rq_limit t.cfg.max_sweep_points)));
   let n = min rq_limit (size - rq_offset) in
+  let eval_point = Sweep.model_evaluator ~profile space in
   let points = ref [] in
   let faulted = ref [] in
   for i = 0 to n - 1 do
@@ -196,11 +197,7 @@ let do_sweep t ~deadline ~rq_profile ~rq_space ~rq_offset ~rq_limit =
        batch cannot overstay its budget by more than one evaluation. *)
     if i land 63 = 0 then check_deadline deadline;
     let index = rq_offset + i in
-    let u = Config_space.config_of_index space index in
-    match
-      Sweep.check_numeric
-        (Sweep.of_prediction u ~index (Interval_model.predict u profile))
-    with
+    match Sweep.check_numeric (eval_point index) with
     | Ok ev ->
       points :=
         ( "point",

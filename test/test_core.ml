@@ -211,6 +211,37 @@ let test_stride_mlp_prefetch_coverage () =
     (Printf.sprintf "libquantum coverage %.2f > 0.3" avg)
     true (avg > 0.3)
 
+(* The stride model reads the LLC miss rate only as "positive or not", so
+   its memo must not let a zero rate and a tiny positive one share an
+   entry: either order of evaluation gives the same pair of answers.  Each
+   order runs on its own profile, so no memo entry is shared between
+   them. *)
+let test_stride_memo_order_independent () =
+  let run rates =
+    let p = profile_of "milc" 30_000 in
+    List.map
+      (fun rate ->
+        ( rate,
+          Array.map
+            (fun mt ->
+              Mlp_model.stride ~mt ~uarch:Uarch.reference ~llc_lines:131072
+                ~llc_load_miss_rate:rate ~model_prefetch:false)
+            p.p_microtraces ))
+      rates
+  in
+  let zero_first = run [ 0.0; 5e-7 ] and tiny_first = run [ 5e-7; 0.0 ] in
+  List.iter
+    (fun rate ->
+      Alcotest.(check bool)
+        (Printf.sprintf "rate %g: same results in either order" rate)
+        true
+        (List.assoc rate zero_first = List.assoc rate tiny_first))
+    [ 0.0; 5e-7 ];
+  Alcotest.(check bool) "zero rate: no MLP" true
+    (Array.for_all (( = ) Mlp_model.no_mlp) (List.assoc 0.0 zero_first));
+  Alcotest.(check bool) "tiny rate: modeled MLP" true
+    (Array.exists (( <> ) Mlp_model.no_mlp) (List.assoc 5e-7 zero_first))
+
 let test_no_mlp_constant () =
   Alcotest.(check (float 1e-9)) "serialized" 1.0 Mlp_model.no_mlp.mlp
 
@@ -515,6 +546,8 @@ let () =
           Alcotest.test_case "models in bounds" `Quick test_mlp_models_in_bounds;
           Alcotest.test_case "prefetch coverage" `Quick
             test_stride_mlp_prefetch_coverage;
+          Alcotest.test_case "stride memo order-independent" `Quick
+            test_stride_memo_order_independent;
           Alcotest.test_case "no_mlp" `Quick test_no_mlp_constant;
         ] );
       ( "llc_chain",

@@ -289,6 +289,201 @@ let test_stream_stops_without_keep_going () =
   Alcotest.(check bool) "blocks skipped" true (s.Sweep.ss_skipped_blocks > 0);
   Alcotest.(check bool) "not every point evaluated" true (!evaluated < 64)
 
+(* ---- staged evaluation ---- *)
+
+let profile_libquantum =
+  lazy
+    (Profiler.profile (Benchmarks.find "libquantum") ~seed:1
+       ~n_instructions:30_000)
+
+let bit_identical a b =
+  String.equal (Marshal.to_string a [ Marshal.No_sharing ])
+    (Marshal.to_string b [ Marshal.No_sharing ])
+
+(* Axes over which the stages' inputs change in every combination: the
+   core stage's (ROB, prefetcher) outside the memory stage's (page size,
+   DRAM latency) outside the power model's operating point.  A 16-byte
+   page stops the stride prefetcher on libquantum's strides. *)
+let staging_space =
+  let dvfs = Array.of_list Uarch.dvfs_points in
+  Config_space.make ~name:"staging"
+    ~axes:
+      [|
+        { Config_space.ax_name = "rob"; ax_values = [| 64; 128 |] };
+        { ax_name = "prefetcher"; ax_values = [| 0; 1; 2 |] };
+        { ax_name = "dram_page_bytes"; ax_values = [| 16; 4096 |] };
+        { ax_name = "dram_latency"; ax_values = [| 100; 300 |] };
+        { ax_name = "dvfs"; ax_values = [| 0; Array.length dvfs - 1 |] };
+      |]
+    ~build:(fun v ->
+      let base = Uarch.with_rob Uarch.reference v.(0) in
+      let base =
+        match v.(1) with
+        | 0 -> Uarch.with_prefetcher base false
+        | 1 -> Uarch.with_prefetcher_kind base Uarch.Pf_stride
+        | _ -> Uarch.with_prefetcher_kind base Uarch.Pf_next_line
+      in
+      let freq_ghz, vdd = dvfs.(v.(4)) in
+      {
+        base with
+        name =
+          Printf.sprintf "s-rob%d-pf%d-page%d-d%d-f%d" v.(0) v.(1) v.(2) v.(3)
+            v.(4);
+        memory =
+          { base.memory with dram_page_bytes = v.(2); dram_latency = v.(3) };
+        operating_point = { freq_ghz; vdd };
+      })
+
+type staging_case = {
+  sc_space : Config_space.t;
+  sc_profile : string;
+  sc_offset : int;
+  sc_length : int;
+  sc_block_size : int;
+  sc_jobs : int;
+}
+
+let staging_case_gen =
+  QCheck.Gen.(
+    oneofl [ Config_space.large; Config_space.default; staging_space ]
+    >>= fun space ->
+    let n = Config_space.size space in
+    int_range 1 (min n 300) >>= fun length ->
+    int_range 0 (n - length) >>= fun offset ->
+    oneofl [ "gcc"; "libquantum" ] >>= fun profile ->
+    oneofl [ 1; 7; 4096 ] >>= fun block_size ->
+    oneofl [ 1; 2 ] >|= fun jobs ->
+    {
+      sc_space = space;
+      sc_profile = profile;
+      sc_offset = offset;
+      sc_length = length;
+      sc_block_size = block_size;
+      sc_jobs = jobs;
+    })
+
+let print_staging_case c =
+  Printf.sprintf "%s [%d, +%d) on %s, block %d, jobs %d"
+    (Config_space.name c.sc_space) c.sc_offset c.sc_length c.sc_profile
+    c.sc_block_size c.sc_jobs
+
+let prop_staged_equals_predict =
+  QCheck.Test.make
+    ~name:
+      "staged stream sweep bit-identical to per-point predict (large, \
+       default and a prefetcher/page/DRAM grid; block 1, 7, 4096; jobs 1, 2)"
+    ~count:100
+    (QCheck.make ~print:print_staging_case staging_case_gen)
+    (fun c ->
+      let profile =
+        Lazy.force
+          (if c.sc_profile = "gcc" then profile_gcc else profile_libquantum)
+      in
+      let fresh i =
+        let u = Config_space.config_of_index c.sc_space i in
+        Sweep.of_prediction u ~index:i (Interval_model.predict u profile)
+      in
+      let got = Array.make c.sc_length None in
+      let staged =
+        Sweep.model_sweep_stream ~jobs:c.sc_jobs ~block_size:c.sc_block_size
+          ~offset:c.sc_offset ~length:c.sc_length
+          ~on_point:(fun i r -> got.(i - c.sc_offset) <- Some r)
+          ~profile c.sc_space
+      in
+      let plain =
+        Sweep.run_stream ~jobs:c.sc_jobs ~block_size:c.sc_block_size
+          ~workload:profile.Profile.p_workload
+          ~n_points:(Config_space.size c.sc_space) ~offset:c.sc_offset
+          ~length:c.sc_length ~eval_point:fresh ()
+      in
+      bit_identical staged plain
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun k r ->
+                match r with
+                | Some (Ok e) -> bit_identical e (fresh (c.sc_offset + k))
+                | _ -> false)
+              got))
+
+let test_staged_adjust_sees_fresh_prediction () =
+  (* [?adjust] receives the prediction a fresh [predict] would give,
+     [pr_uarch] included, at every point of a run that reuses stages. *)
+  let profile = Lazy.force profile_libquantum in
+  let bad = Atomic.make 0 in
+  let adjust (u : Uarch.t) (pred : Interval_model.prediction) =
+    if not (bit_identical pred (Interval_model.predict u profile)) then
+      Atomic.incr bad;
+    pred.pr_cycles *. 1.5
+  in
+  (match
+     Sweep.model_sweep_stream ~adjust ~block_size:16 ~profile staging_space
+   with
+  | Ok s -> Alcotest.(check int) "all ok" (Config_space.size staging_space) s.ss_ok
+  | Error ft -> Alcotest.failf "stream: %s" (Fault.to_string ft));
+  Alcotest.(check int) "predictions differing from predict" 0 (Atomic.get bad)
+
+let test_fresh_run_stream_evaluates_each_point_once () =
+  let profile = Lazy.force profile_gcc in
+  let space = Config_space.default in
+  let n = Config_space.size space in
+  List.iter
+    (fun jobs ->
+      let calls = Array.init n (fun _ -> Atomic.make 0) in
+      let s =
+        match
+          Sweep.run_stream ~jobs ~block_size:16 ~workload:"count" ~n_points:n
+            ~eval_point:(fun i ->
+              Atomic.incr calls.(i);
+              let u = Config_space.config_of_index space i in
+              Sweep.of_prediction u ~index:i (Interval_model.predict u profile))
+            ()
+        with
+        | Ok s -> s
+        | Error ft -> Alcotest.failf "stream: %s" (Fault.to_string ft)
+      in
+      Alcotest.(check bool) "non-empty front" true (s.Sweep.ss_front_evals <> []);
+      Array.iteri
+        (fun i c ->
+          Alcotest.(check int)
+            (Printf.sprintf "jobs %d: calls for point %d" jobs i)
+            1 (Atomic.get c))
+        calls)
+    [ 1; 2 ]
+
+let test_resumed_front_evals_bit_identical () =
+  let profile = Lazy.force profile_libquantum in
+  let space = staging_space in
+  let path = Filename.temp_file "stream_front" ".ckpt" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let run ?checkpoint ~jobs () =
+        match
+          Sweep.model_sweep_stream ?checkpoint ~jobs ~block_size:5 ~profile space
+        with
+        | Ok s -> s
+        | Error ft -> Alcotest.failf "stream: %s" (Fault.to_string ft)
+      in
+      let whole = run ~jobs:1 () in
+      ignore (run ~checkpoint:path ~jobs:1 ());
+      (* Kill: keep the first half of the log, so the resumed run restores
+         some blocks and evaluates the rest. *)
+      let len = (Unix.stat path).Unix.st_size in
+      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+      Unix.ftruncate fd (len / 2);
+      Unix.close fd;
+      let resumed = run ~checkpoint:path ~jobs:2 () in
+      Alcotest.(check bool) "some blocks resumed" true
+        (resumed.Sweep.ss_resumed_blocks > 0);
+      Alcotest.(check bool) "some blocks evaluated" true
+        (resumed.ss_evaluated_blocks > 0);
+      Alcotest.(check int) "front size"
+        (List.length whole.Sweep.ss_front)
+        (List.length resumed.ss_front_evals);
+      Alcotest.(check bool) "front evals bit-identical" true
+        (bit_identical whole.ss_front_evals resumed.ss_front_evals))
+
 (* ---- subset quality and refinement ---- *)
 
 let test_subset_quality_perfect_and_degraded () =
@@ -361,6 +556,16 @@ let () =
             test_stream_isolates_poisoned_point;
           Alcotest.test_case "stop without keep-going" `Quick
             test_stream_stops_without_keep_going;
+        ] );
+      ( "staging",
+        [
+          QCheck_alcotest.to_alcotest prop_staged_equals_predict;
+          Alcotest.test_case "adjust sees the fresh prediction" `Quick
+            test_staged_adjust_sees_fresh_prediction;
+          Alcotest.test_case "fresh run evaluates each point once" `Quick
+            test_fresh_run_stream_evaluates_each_point_once;
+          Alcotest.test_case "resumed front evals bit-identical" `Quick
+            test_resumed_front_evals_bit_identical;
         ] );
       ( "refine",
         [
