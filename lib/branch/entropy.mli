@@ -16,12 +16,18 @@ val create : ?history_bits:int -> unit -> t
     linear fit to predictor miss rates on this workload suite. *)
 
 val observe : t -> static_id:int -> taken:bool -> unit
+(** Record one outcome of [static_id] under its current local history,
+    then shift the outcome into that history.  Raises [Invalid_argument]
+    unless [0 <= static_id < 2^(62 - history_bits)]: outcome counts are
+    keyed by [static_id lsl history_bits lor history], which must not
+    alias another key. *)
 
 val prime : t -> static_id:int -> taken:bool -> unit
 (** Update the local-history register of [static_id] without recording the
     outcome in any count.  Used by the sharded profiler's warm-up window to
     converge history registers to their sequential values before real
-    observation starts (a [history_bits]-deep warm-up suffices). *)
+    observation starts (a [history_bits]-deep warm-up suffices).  Raises
+    [Invalid_argument] on the static ids {!observe} rejects. *)
 
 val merge : t -> t -> t
 (** Sum the (static branch, history pattern) outcome counts of two

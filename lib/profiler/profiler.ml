@@ -39,6 +39,8 @@ type mt_builder = {
   mutable mem_cold : int;
   mutable store_cold : int;
   mutable cold_load_positions : int list;  (* uop offsets of cold load misses *)
+  (* A polymorphic Hashtbl, not an Int_table: its fold order is the order
+     of [mt_static_loads], which is serialized and summed over. *)
   statics : (int, sl_builder) Hashtbl.t;
   mutable branches : int;
 }
@@ -146,10 +148,10 @@ let finalize_mt ~cfg ~index ~start_instruction ~instructions (b : mt_builder) =
 type stream_state = {
   ss_entropy : Entropy.t;
   (* Data-side reuse tracking: line -> index of its last access. *)
-  ss_last_access : (int, int) Hashtbl.t;
+  ss_last_access : Int_table.t;
   mutable ss_mem_idx : int;
   (* Instruction-side reuse tracking. *)
-  ss_inst_last : (int, int) Hashtbl.t;
+  ss_inst_last : Int_table.t;
   mutable ss_inst_idx : int;
   ss_inst_hist : Histogram.t;
   mutable ss_inst_cold : int;
@@ -169,9 +171,9 @@ let new_stream_state cfg =
   in
   {
     ss_entropy = Entropy.create ~history_bits:cfg.entropy_history_bits ();
-    ss_last_access = Hashtbl.create 65536;
+    ss_last_access = Int_table.create 65536;
     ss_mem_idx = 0;
-    ss_inst_last = Hashtbl.create 4096;
+    ss_inst_last = Int_table.create 4096;
     ss_inst_idx = 0;
     ss_inst_hist = Histogram.create ();
     ss_inst_cold = 0;
@@ -196,12 +198,12 @@ let warm_process st (u : Isa.uop) =
     Entropy.prime st.ss_entropy ~static_id:u.static_id ~taken:u.taken;
   if u.begins_instruction then begin
     let iline = (u.static_id * Workload_gen.instruction_bytes) asr st.ss_line_shift in
-    Hashtbl.replace st.ss_inst_last iline st.ss_inst_idx;
+    Int_table.replace st.ss_inst_last iline st.ss_inst_idx;
     st.ss_inst_idx <- st.ss_inst_idx + 1
   end;
   if Isa.is_memory u then begin
     let line = u.addr asr st.ss_line_shift in
-    Hashtbl.replace st.ss_last_access line st.ss_mem_idx;
+    Int_table.replace st.ss_last_access line st.ss_mem_idx;
     st.ss_mem_idx <- st.ss_mem_idx + 1
   end
 
@@ -220,40 +222,35 @@ let process st (u : Isa.uop) =
   if u.begins_instruction then begin
     let iline = (u.static_id * Workload_gen.instruction_bytes) asr st.ss_line_shift in
     st.ss_inst_accesses <- st.ss_inst_accesses + 1;
-    (match Hashtbl.find_opt st.ss_inst_last iline with
-    | Some prev ->
-      if recording <> None then begin
-        Histogram.add st.ss_inst_hist (st.ss_inst_idx - prev - 1);
-        st.ss_inst_samples <- st.ss_inst_samples + 1
-      end
-    | None ->
-      st.ss_inst_cold_exact <- st.ss_inst_cold_exact + 1;
-      if recording <> None then begin
-        st.ss_inst_cold <- st.ss_inst_cold + 1;
-        st.ss_inst_samples <- st.ss_inst_samples + 1
-      end);
-    Hashtbl.replace st.ss_inst_last iline st.ss_inst_idx;
+    let prev = Int_table.swap st.ss_inst_last iline st.ss_inst_idx ~absent:(-1) in
+    if prev < 0 then st.ss_inst_cold_exact <- st.ss_inst_cold_exact + 1;
+    if recording <> None then begin
+      if prev >= 0 then Histogram.add st.ss_inst_hist (st.ss_inst_idx - prev - 1)
+      else st.ss_inst_cold <- st.ss_inst_cold + 1;
+      st.ss_inst_samples <- st.ss_inst_samples + 1
+    end;
     st.ss_inst_idx <- st.ss_inst_idx + 1
   end;
   (* Data-side reuse distances + per-static-load distributions. *)
   if Isa.is_memory u then begin
     let line = u.addr asr st.ss_line_shift in
-    let prev = Hashtbl.find_opt st.ss_last_access line in
+    (* Index of the line's previous access, -1 when this one is cold. *)
+    let prev = Int_table.swap st.ss_last_access line st.ss_mem_idx ~absent:(-1) in
     st.ss_data_accesses <- st.ss_data_accesses + 1;
-    if prev = None then st.ss_data_cold <- st.ss_data_cold + 1;
+    if prev < 0 then st.ss_data_cold <- st.ss_data_cold + 1;
     (match recording with
     | Some b ->
       let pos = b.u_len - 1 in
       b.mem_samples <- b.mem_samples + 1;
       let is_store = u.cls = Isa.Store in
-      (match prev with
-      | Some p ->
-        let rd = st.ss_mem_idx - p - 1 in
-        Histogram.add (if is_store then b.reuse_store else b.reuse_load) rd
-      | None ->
+      if prev >= 0 then
+        Histogram.add (if is_store then b.reuse_store else b.reuse_load)
+          (st.ss_mem_idx - prev - 1)
+      else begin
         b.mem_cold <- b.mem_cold + 1;
         if is_store then b.store_cold <- b.store_cold + 1
-        else b.cold_load_positions <- pos :: b.cold_load_positions);
+        else b.cold_load_positions <- pos :: b.cold_load_positions
+      end;
       if not is_store then begin
         let sb =
           match Hashtbl.find_opt b.statics u.static_id with
@@ -279,15 +276,13 @@ let process st (u : Isa.uop) =
           Histogram.add sb.b_spacing (pos - sb.b_last_pos);
           Histogram.add sb.b_strides (u.addr - sb.b_last_addr)
         end;
-        (match prev with
-        | Some p -> Histogram.add sb.b_reuse (st.ss_mem_idx - p - 1)
-        | None -> sb.b_cold <- sb.b_cold + 1);
+        if prev >= 0 then Histogram.add sb.b_reuse (st.ss_mem_idx - prev - 1)
+        else sb.b_cold <- sb.b_cold + 1;
         sb.b_count <- sb.b_count + 1;
         sb.b_last_pos <- pos;
         sb.b_last_addr <- u.addr
       end
     | None -> ());
-    Hashtbl.replace st.ss_last_access line st.ss_mem_idx;
     st.ss_mem_idx <- st.ss_mem_idx + 1
   end
 
@@ -434,165 +429,6 @@ let profile ?(config = default_config) ?(jobs = 1) ?(warmup = default_warmup)
       bounds
   in
   merge_shards ~cfg ~workload:spec.Workload_spec.wname shards
-
-(* The pre-sharding profiler, kept verbatim as the reference the sharded
-   pipeline is pinned against: tests and the profile_shards bench assert
-   that [profile ~jobs:1] (and [profile ~jobs:k ~warmup:max_int]) produce
-   bit-identical serialized profiles. *)
-let profile_legacy ?(config = default_config) spec ~seed ~n_instructions =
-  let cfg = config in
-  let gen = Workload_gen.create spec ~seed in
-  let entropy = Entropy.create ~history_bits:cfg.entropy_history_bits () in
-  (* Data-side reuse tracking: line -> index of its last access. *)
-  let last_access : (int, int) Hashtbl.t = Hashtbl.create 65536 in
-  let mem_idx = ref 0 in
-  (* Instruction-side reuse tracking. *)
-  let inst_last : (int, int) Hashtbl.t = Hashtbl.create 4096 in
-  let inst_idx = ref 0 in
-  let inst_hist = Histogram.create () in
-  let inst_cold = ref 0 in
-  let inst_samples = ref 0 in
-  let inst_accesses = ref 0 in
-  let inst_cold_exact = ref 0 in
-  let data_accesses = ref 0 in
-  let data_cold = ref 0 in
-  let line_shift =
-    let rec go acc v = if v <= 1 then acc else go (acc + 1) (v / 2) in
-    go 0 cfg.line_bytes
-  in
-  let microtraces = ref [] in
-  let mt_count = ref 0 in
-  let current : mt_builder option ref = ref None in
-  let process (u : Isa.uop) =
-    let recording = !current in
-    (match recording with
-    | Some b ->
-      push_uop b u;
-      if u.cls = Isa.Branch then b.branches <- b.branches + 1
-    | None -> ());
-    if u.cls = Isa.Branch then
-      Entropy.observe entropy ~static_id:u.static_id ~taken:u.taken;
-    if u.begins_instruction then begin
-      let iline = (u.static_id * Workload_gen.instruction_bytes) asr line_shift in
-      incr inst_accesses;
-      (match Hashtbl.find_opt inst_last iline with
-      | Some prev ->
-        if recording <> None then begin
-          Histogram.add inst_hist (!inst_idx - prev - 1);
-          incr inst_samples
-        end
-      | None ->
-        incr inst_cold_exact;
-        if recording <> None then begin
-          incr inst_cold;
-          incr inst_samples
-        end);
-      Hashtbl.replace inst_last iline !inst_idx;
-      incr inst_idx
-    end;
-    if Isa.is_memory u then begin
-      let line = u.addr asr line_shift in
-      let prev = Hashtbl.find_opt last_access line in
-      incr data_accesses;
-      if prev = None then incr data_cold;
-      (match recording with
-      | Some b ->
-        let pos = b.u_len - 1 in
-        b.mem_samples <- b.mem_samples + 1;
-        let is_store = u.cls = Isa.Store in
-        (match prev with
-        | Some p ->
-          let rd = !mem_idx - p - 1 in
-          Histogram.add (if is_store then b.reuse_store else b.reuse_load) rd
-        | None ->
-          b.mem_cold <- b.mem_cold + 1;
-          if is_store then b.store_cold <- b.store_cold + 1
-          else b.cold_load_positions <- pos :: b.cold_load_positions);
-        if not is_store then begin
-          let sb =
-            match Hashtbl.find_opt b.statics u.static_id with
-            | Some sb -> sb
-            | None ->
-              let sb =
-                {
-                  b_static_id = u.static_id;
-                  b_first_pos = pos;
-                  b_count = 0;
-                  b_last_pos = pos;
-                  b_last_addr = u.addr;
-                  b_spacing = Histogram.create ();
-                  b_strides = Histogram.create ();
-                  b_reuse = Histogram.create ();
-                  b_cold = 0;
-                }
-              in
-              Hashtbl.replace b.statics u.static_id sb;
-              sb
-          in
-          if sb.b_count > 0 then begin
-            Histogram.add sb.b_spacing (pos - sb.b_last_pos);
-            Histogram.add sb.b_strides (u.addr - sb.b_last_addr)
-          end;
-          (match prev with
-          | Some p -> Histogram.add sb.b_reuse (!mem_idx - p - 1)
-          | None -> sb.b_cold <- sb.b_cold + 1);
-          sb.b_count <- sb.b_count + 1;
-          sb.b_last_pos <- pos;
-          sb.b_last_addr <- u.addr
-        end
-      | None -> ());
-      Hashtbl.replace last_access line !mem_idx;
-      incr mem_idx
-    end
-  in
-  let consumed = ref 0 in
-  while !consumed < n_instructions do
-    let mt_len = min cfg.microtrace_instructions (n_instructions - !consumed) in
-    let b = new_mt_builder (2 * mt_len) in
-    current := Some b;
-    let start_instruction = Workload_gen.instructions_emitted gen in
-    Workload_gen.iter_uops gen ~n_instructions:mt_len ~f:process;
-    current := None;
-    microtraces :=
-      finalize_mt ~cfg ~index:!mt_count ~start_instruction ~instructions:mt_len b
-      :: !microtraces;
-    incr mt_count;
-    consumed := !consumed + mt_len;
-    let skip = min (cfg.window_instructions - mt_len) (n_instructions - !consumed) in
-    if skip > 0 then begin
-      Workload_gen.iter_uops gen ~n_instructions:skip ~f:process;
-      consumed := !consumed + skip
-    end
-  done;
-  let mts = Array.of_list (List.rev !microtraces) in
-  let total_uops = Workload_gen.uops_emitted gen in
-  let total_instr = Workload_gen.instructions_emitted gen in
-  let branch_uops =
-    Array.fold_left (fun acc mt -> acc + mt.Profile.mt_branches) 0 mts
-  in
-  let sampled_uops = Array.fold_left (fun acc mt -> acc + mt.Profile.mt_uops) 0 mts in
-  {
-    Profile.p_workload = spec.Workload_spec.wname;
-    p_window_instructions = cfg.window_instructions;
-    p_microtrace_instructions = cfg.microtrace_instructions;
-    p_total_instructions = total_instr;
-    p_line_bytes = cfg.line_bytes;
-    p_microtraces = mts;
-    p_entropy = Entropy.linear_entropy entropy;
-    p_branch_fraction =
-      (if sampled_uops = 0 then 0.0
-       else float_of_int branch_uops /. float_of_int sampled_uops);
-    p_uops_per_instruction =
-      (if total_instr = 0 then 1.0
-       else float_of_int total_uops /. float_of_int total_instr);
-    p_reuse_inst = inst_hist;
-    p_inst_cold_fraction =
-      (if !inst_accesses = 0 then 0.0
-       else float_of_int !inst_cold_exact /. float_of_int !inst_accesses);
-    p_inst_samples = !inst_samples;
-    p_data_accesses = !data_accesses;
-    p_data_cold = !data_cold;
-  }
 
 let full_instruction_mix spec ~seed ~n_instructions =
   let gen = Workload_gen.create spec ~seed in

@@ -31,7 +31,7 @@ type config = {
 
 val default_config : config
 (** 1000-instruction micro-traces every 10_000 instructions; ROB sizes
-    16..256 step 16; 64-byte lines; 8-bit branch history. *)
+    16..256 step 16; 64-byte lines; 4-bit branch history. *)
 
 val default_warmup : int
 (** Default shard warm-up window: 10_000 instructions (one sampling
@@ -51,12 +51,6 @@ val profile :
     recorded.  [~jobs:1] runs a single shard covering the whole stream —
     exactly the sequential profiler.  Raises [Invalid_argument] if
     [jobs < 1] or [warmup < 0]. *)
-
-val profile_legacy :
-  ?config:config -> Workload_spec.t -> seed:int -> n_instructions:int -> Profile.t
-(** The pre-sharding single-pass profiler, kept verbatim as the reference
-    implementation: {!profile}[ ~jobs:1] must serialize bit-identically to
-    it (pinned by tests and the profile_shards bench). *)
 
 val full_instruction_mix :
   Workload_spec.t -> seed:int -> n_instructions:int -> Isa.Class_counts.t

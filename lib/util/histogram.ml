@@ -1,17 +1,24 @@
 (* Two-tier backend.  Profiling's inner loop is [add] on reuse distances,
-   strides and spacings, which are overwhelmingly small non-negative ints;
-   a dense count array for keys in [0, dense_limit) turns the seed's
-   Hashtbl find/replace pair (hash + bucket walk + option allocation) into
-   one bounds check and an array store.  Keys outside the dense range
-   (negative strides, distant reuses) spill to a Hashtbl with the original
-   semantics.  The dense tier grows geometrically on demand so the many
-   tiny per-static-load histograms stay small. *)
+   strides and spacings, which are mostly small non-negative ints; a dense
+   count array turns a hash-table find/replace pair into one bounds check
+   and an array store.  Every other key lives in a spill table.
+
+   The dense tier only grows as far as the histogram's contents justify:
+   a key below [dense_limit] but beyond the array grows it when the key is
+   below [64 + 8 * distinct], and spills otherwise.  A profile holds tens
+   of thousands of per-static-load histograms with one or two keys each,
+   and a dense tier sized by the largest key (a single reuse distance of
+   3000 costs a 32 KB array) made them most of the profile's memory.
+
+   Invariant: keys in [0, length dense) live in the dense tier and nowhere
+   else.  Growing the array therefore moves the spilled keys it now covers
+   into it.  The spill table is allocated on first spill. *)
 
 type t = {
   id : int;
   mutable dense : int array; (* counts for keys [0, length dense) *)
   mutable dense_distinct : int;
-  spill : (int, int) Hashtbl.t; (* keys < 0 or >= dense_limit only *)
+  mutable spill : Int_table.t option; (* every key outside the dense tier *)
   mutable total : int;
   (* Cached sorted view, invalidated by [add].  Reads from parallel
      domains (sweeps walk frozen histograms concurrently) can race on the
@@ -30,14 +37,8 @@ let next_id = Atomic.make 0
 let fresh_id () = Atomic.fetch_and_add next_id 1 + 1
 
 let create () =
-  {
-    id = fresh_id ();
-    dense = [||];
-    dense_distinct = 0;
-    spill = Hashtbl.create 8;
-    total = 0;
-    sorted = None;
-  }
+  { id = fresh_id (); dense = [||]; dense_distinct = 0; spill = None; total = 0;
+    sorted = None }
 
 let id h = h.id
 
@@ -46,46 +47,69 @@ let copy h =
     id = fresh_id ();
     dense = Array.copy h.dense;
     dense_distinct = h.dense_distinct;
-    spill = Hashtbl.copy h.spill;
+    spill = Option.map Int_table.copy h.spill;
     total = h.total;
     sorted = h.sorted;
   }
 
+let distinct h =
+  h.dense_distinct + match h.spill with None -> 0 | Some s -> Int_table.length s
+
+(* Grow the dense tier to cover [key] (doubling, at least 8 slots, at most
+   [dense_limit]) and move the spilled keys it now covers into it. *)
 let grow_dense h key =
   let len = Array.length h.dense in
-  let target = ref (max 64 (2 * len)) in
+  let target = ref (max 8 (2 * len)) in
   while !target <= key do
     target := 2 * !target
   done;
-  let bigger = Array.make (min dense_limit !target) 0 in
+  let len' = min dense_limit !target in
+  let bigger = Array.make len' 0 in
   Array.blit h.dense 0 bigger 0 len;
-  h.dense <- bigger
+  h.dense <- bigger;
+  match h.spill with
+  | None -> ()
+  | Some s ->
+    let kept = Int_table.create (Int_table.length s) in
+    Int_table.iter
+      (fun k c ->
+        if k >= len && k < len' then begin
+          bigger.(k) <- c;
+          h.dense_distinct <- h.dense_distinct + 1
+        end
+        else Int_table.replace kept k c)
+      s;
+    h.spill <- (if Int_table.length kept = 0 then None else Some kept)
+
+let add_spill h key count =
+  match h.spill with
+  | Some s -> Int_table.add s key count
+  | None ->
+    let s = Int_table.create 1 in
+    Int_table.replace s key count;
+    h.spill <- Some s
 
 let add h ?(count = 1) key =
   if count < 0 then invalid_arg "Histogram.add: negative count";
   if count > 0 then begin
     h.sorted <- None;
-    if key >= 0 && key < dense_limit then begin
+    if key >= 0 && key < dense_limit
+       && (key < Array.length h.dense || key < 64 + (8 * distinct h))
+    then begin
       if key >= Array.length h.dense then grow_dense h key;
       let c = Array.unsafe_get h.dense key in
       if c = 0 then h.dense_distinct <- h.dense_distinct + 1;
       Array.unsafe_set h.dense key (c + count)
     end
-    else begin
-      let current = Option.value (Hashtbl.find_opt h.spill key) ~default:0 in
-      Hashtbl.replace h.spill key (current + count)
-    end;
+    else add_spill h key count;
     h.total <- h.total + count
   end
 
 let count h key =
-  if key >= 0 && key < dense_limit then
-    if key < Array.length h.dense then Array.unsafe_get h.dense key else 0
-  else Option.value (Hashtbl.find_opt h.spill key) ~default:0
+  if key >= 0 && key < Array.length h.dense then Array.unsafe_get h.dense key
+  else match h.spill with None -> 0 | Some s -> Int_table.find s key ~default:0
 
 let total h = h.total
-
-let distinct h = h.dense_distinct + Hashtbl.length h.spill
 
 let is_empty h = h.total = 0
 
@@ -95,15 +119,12 @@ let compute_sorted h =
     let c = Array.unsafe_get h.dense k in
     if c > 0 then dense := (k, c) :: !dense
   done;
-  if Hashtbl.length h.spill = 0 then !dense
-  else begin
-    let spill = Hashtbl.fold (fun k c acc -> (k, c) :: acc) h.spill [] in
-    let neg, big = List.partition (fun (k, _) -> k < 0) spill in
-    let sort = List.sort (fun (a, _) (b, _) -> compare a b) in
-    (* Spill keys are < 0 or >= dense_limit, so the three runs concatenate
-       into one sorted list without a merge. *)
-    sort neg @ !dense @ sort big
-  end
+  match h.spill with
+  | None -> !dense
+  | Some s ->
+    let cmp (a, _) (b, _) = Int.compare a b in
+    let spill = List.sort cmp (Int_table.fold (fun k c acc -> (k, c) :: acc) s []) in
+    List.merge cmp !dense spill
 
 let to_sorted_list h =
   match h.sorted with

@@ -4,12 +4,18 @@
     strides, dependence-path lengths, load spacings, ...) as a histogram of
     occurrence counts.  Keys are arbitrary ints (strides may be negative).
 
-    The backend is two-tier: keys in [0, 4096) live in a dense count array
-    (grown geometrically on demand) so the profiling inner loop's [add] is
-    a single array store; keys outside that range spill to a hash table.
-    Sorted views ([to_sorted_list], [iter], [fold], [quantile_key], ...)
-    are computed once and cached until the next mutation, so analysis-phase
-    quantile loops over frozen histograms stop re-sorting. *)
+    The backend is two-tier and sized by its contents.  A dense count array
+    holds keys in [0, length), so the profiling inner loop's [add] is a
+    single array store.  It grows (doubling, up to 4096 slots) only when a
+    key in [0, 4096) falls below [64 + 8 * distinct]: a histogram with a
+    handful of keys keeps a small array however large those keys are.
+    Every other key lives in a spill table ({!Int_table}), allocated on the
+    first spill; growing the dense tier moves the spilled keys it now
+    covers into it.  Sorted views ([to_sorted_list], [iter], [fold],
+    [quantile_key], ...) are computed once and cached until the next
+    mutation, so analysis-phase quantile loops over frozen histograms stop
+    re-sorting.  The representation is invisible to the API: a histogram's
+    observable state depends only on the multiset of keys added. *)
 
 type t
 

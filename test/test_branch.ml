@@ -180,6 +180,33 @@ let test_entropy_model_prediction_accuracy () =
     true
     (Float.abs err < 6.0)
 
+(* Counts are keyed by [static_id lsl history_bits lor history]; ids that
+   would alias another key in that packing are rejected. *)
+let test_entropy_static_id_bounds () =
+  let bits = 4 in
+  let e = Entropy.create ~history_bits:bits () in
+  let limit = 1 lsl (62 - bits) in
+  Entropy.observe e ~static_id:0 ~taken:true;
+  Entropy.observe e ~static_id:(limit - 1) ~taken:false;
+  Entropy.prime e ~static_id:(limit - 1) ~taken:true;
+  Alcotest.(check int) "largest id accepted" 2 (Entropy.observed_branches e);
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun static_id ->
+      rejects
+        (Printf.sprintf "observe %d" static_id)
+        (fun () -> Entropy.observe e ~static_id ~taken:true);
+      rejects
+        (Printf.sprintf "prime %d" static_id)
+        (fun () -> Entropy.prime e ~static_id ~taken:true))
+    [ -1; min_int; limit; max_int ];
+  Alcotest.(check int) "rejected calls record nothing" 2
+    (Entropy.observed_branches e)
+
 let prop_entropy_bounded =
   QCheck.Test.make ~name:"linear entropy stays in [0,1]" ~count:50
     QCheck.(pair (int_range 0 100) (int_range 10 500))
@@ -214,6 +241,8 @@ let () =
           Alcotest.test_case "pattern branch" `Quick
             test_entropy_pattern_branch_is_predictable;
           Alcotest.test_case "counts" `Quick test_entropy_counts;
+          Alcotest.test_case "static id bounds" `Quick
+            test_entropy_static_id_bounds;
           QCheck_alcotest.to_alcotest prop_entropy_bounded;
         ] );
       ( "entropy_model",

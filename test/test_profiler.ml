@@ -543,13 +543,18 @@ let prop_profile_io_corruption_total =
 (* ---- Sharded profiling ---- *)
 
 let test_shard_jobs1_bit_identical () =
-  (* The sharded pipeline at jobs:1 must be the legacy sequential
-     profiler, down to the serialized byte. *)
+  (* The sequential profile is pinned by the MD5 of its serialized forms,
+     taken from the single-pass profiler the sharded pipeline replaced:
+     any change to what is recorded, or in which order, moves them.
+     test/golden/profile_digests.expected pins 1M-instruction profiles
+     of six benchmarks the same way. *)
   let spec = Benchmarks.find "gcc" in
-  let legacy = Profiler.profile_legacy spec ~seed:1 ~n_instructions:50_000 in
-  let sharded = Profiler.profile spec ~jobs:1 ~seed:1 ~n_instructions:50_000 in
-  Alcotest.(check bool) "bit-identical serialization" true
-    (Profile_io.to_string sharded = Profile_io.to_string legacy)
+  let p = Profiler.profile spec ~jobs:1 ~seed:1 ~n_instructions:50_000 in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "text" "48884ead80f37f8ced0be0cfec7c8ac9"
+    (md5 (Profile_io.to_string p));
+  Alcotest.(check string) "binary" "32b6af2fba32eda66a0d0515c408f0ec"
+    (md5 (Profile_io.to_binary_string p))
 
 let prop_shard_unbounded_warmup_exact =
   (* With an unbounded warm-up every shard replays the full stream prefix
@@ -561,11 +566,11 @@ let prop_shard_unbounded_warmup_exact =
     QCheck.(pair (int_range 2 5) (int_range 15_000 45_000))
     (fun (k, n) ->
       let spec = Benchmarks.find "mcf" in
-      let legacy = Profiler.profile_legacy spec ~seed:3 ~n_instructions:n in
+      let sequential = Profiler.profile spec ~jobs:1 ~seed:3 ~n_instructions:n in
       let sharded =
         Profiler.profile spec ~jobs:k ~warmup:max_int ~seed:3 ~n_instructions:n
       in
-      Profile_io.to_string sharded = Profile_io.to_string legacy)
+      Profile_io.to_string sharded = Profile_io.to_string sequential)
 
 let test_shard_merge_renumbering () =
   (* Bounded warm-up: classifications at shard boundaries may shift, but
@@ -596,23 +601,43 @@ let test_shard_bounded_warmup_invariants () =
      rates, never deflate them. *)
   let n = 60_000 in
   let spec = Benchmarks.find "gcc" in
-  let legacy = Profiler.profile_legacy spec ~seed:1 ~n_instructions:n in
+  let sequential = Profiler.profile spec ~jobs:1 ~seed:1 ~n_instructions:n in
   let sharded = Profiler.profile spec ~jobs:4 ~seed:1 ~n_instructions:n in
-  Alcotest.(check int) "total instructions" legacy.p_total_instructions
+  Alcotest.(check int) "total instructions" sequential.p_total_instructions
     sharded.p_total_instructions;
   Alcotest.(check int) "microtrace count"
-    (Array.length legacy.p_microtraces)
+    (Array.length sequential.p_microtraces)
     (Array.length sharded.p_microtraces);
-  Alcotest.(check int) "inst samples" legacy.p_inst_samples
+  Alcotest.(check int) "inst samples" sequential.p_inst_samples
     sharded.p_inst_samples;
-  Alcotest.(check int) "data accesses" legacy.p_data_accesses
+  Alcotest.(check int) "data accesses" sequential.p_data_accesses
     sharded.p_data_accesses;
   Alcotest.(check (float 1e-12)) "uops per instruction"
-    legacy.p_uops_per_instruction sharded.p_uops_per_instruction;
+    sequential.p_uops_per_instruction sharded.p_uops_per_instruction;
   Alcotest.(check bool) "cold rate only inflates" true
-    (Profile.cold_miss_rate sharded >= Profile.cold_miss_rate legacy -. 1e-12);
+    (Profile.cold_miss_rate sharded >= Profile.cold_miss_rate sequential -. 1e-12);
   Alcotest.(check bool) "data cold only inflates" true
-    (sharded.p_data_cold >= legacy.p_data_cold)
+    (sharded.p_data_cold >= sequential.p_data_cold)
+
+(* A profile's heap is as small as its contents: most per-static-load
+   histograms hold one or two keys, so a dense tier sized by the largest
+   key (one reuse distance of 3000 costs a 32 KB array) would make them
+   most of the profile.  The bound holds both for the profile as built
+   and for one decoded from its binary form. *)
+let test_profile_footprint () =
+  let p = Profiler.profile (Benchmarks.find "gcc") ~seed:1 ~n_instructions:200_000 in
+  let mb x = float_of_int (8 * Obj.reachable_words (Obj.repr x)) /. 1e6 in
+  let loaded =
+    match Profile_io.of_string (Profile_io.to_binary_string p) with
+    | Ok q -> q
+    | Error f -> Alcotest.fail (Fault.to_string f)
+  in
+  List.iter
+    (fun (what, x) ->
+      let used = mb x in
+      if used > 12.0 then
+        Alcotest.failf "%s profile holds %.1f MB (bound 12 MB)" what used)
+    [ ("profiled", p); ("round-tripped", loaded) ]
 
 let test_shard_rejects_bad_args () =
   let spec = Benchmarks.find "gcc" in
@@ -695,7 +720,7 @@ let () =
         ] );
       ( "sharding",
         [
-          Alcotest.test_case "jobs:1 bit-identical to legacy" `Quick
+          Alcotest.test_case "jobs:1 bit-identical to pinned digest" `Quick
             test_shard_jobs1_bit_identical;
           QCheck_alcotest.to_alcotest prop_shard_unbounded_warmup_exact;
           Alcotest.test_case "merge renumbers microtraces" `Quick
@@ -704,5 +729,7 @@ let () =
             test_shard_bounded_warmup_invariants;
           Alcotest.test_case "rejects bad arguments" `Quick
             test_shard_rejects_bad_args;
+          Alcotest.test_case "profile memory footprint" `Quick
+            test_profile_footprint;
         ] );
     ]

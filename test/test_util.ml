@@ -251,6 +251,123 @@ let test_hist_copy_independent () =
   Alcotest.(check int) "copy total" 5 (Histogram.total c);
   Alcotest.(check bool) "fresh id" true (Histogram.id c <> Histogram.id h)
 
+(* Histogram against a Map-based reference model.  Keys mix the tiers
+   the backend distinguishes: small dense keys, sparse keys in [0, 4096)
+   that spill until the dense tier grows over them, negative keys and
+   keys past the dense limit; counts include 0.  Adds are split in two
+   batches with reads between them, so the second batch lands on a
+   histogram whose sorted view is cached and whose spill keys may move
+   into a grown dense tier. *)
+module Int_map = Map.Make (Int)
+
+let prop_hist_matches_map_model =
+  let key =
+    QCheck.Gen.(
+      frequency
+        [ (4, int_range 0 63); (3, int_range 64 4095);
+          (2, int_range (-5000) (-1)); (1, int_range 4096 100_000) ])
+  in
+  let adds = QCheck.Gen.(list_size (int_range 0 60) (pair key (int_range 0 5))) in
+  let print_adds = QCheck.Print.(list (pair int int)) in
+  QCheck.Test.make ~name:"histogram matches a Map reference model" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(quad print_adds print_adds print_adds int)
+       QCheck.Gen.(quad adds adds adds (int_range 0 3)))
+    (fun (first, second, other, factor) ->
+      let add_model m (k, c) =
+        if c = 0 then m
+        else
+          Int_map.update k (fun v -> Some (c + Option.value v ~default:0)) m
+      in
+      let build entries =
+        let h = Histogram.create () in
+        List.iter (fun (k, c) -> Histogram.add h ~count:c k) entries;
+        h
+      in
+      let agrees h m =
+        let bindings = Int_map.bindings m in
+        let total = List.fold_left (fun a (_, c) -> a + c) 0 bindings in
+        let quantile_ok q =
+          total = 0
+          ||
+          let target = q *. float_of_int total in
+          let rec go acc = function
+            | [] -> assert false
+            | [ (k, _) ] -> k
+            | (k, c) :: rest ->
+              let acc = acc +. float_of_int c in
+              if acc >= target then k else go acc rest
+          in
+          Histogram.quantile_key h q = go 0.0 bindings
+        in
+        Histogram.to_sorted_list h = bindings
+        && Histogram.total h = total
+        && Histogram.distinct h = List.length bindings
+        && List.for_all (fun (k, c) -> Histogram.count h k = c) bindings
+        && List.for_all
+             (fun k -> Int_map.mem k m || Histogram.count h k = 0)
+             [ -1; 0; 1; 64; 4095; 4096; 99_999 ]
+        && List.for_all quantile_ok [ 0.01; 0.25; 0.5; 0.9; 1.0 ]
+      in
+      let h = Histogram.create () in
+      List.iter (fun (k, c) -> Histogram.add h ~count:c k) first;
+      let m1 = List.fold_left add_model Int_map.empty first in
+      let ok1 = agrees h m1 in
+      let snapshot = Histogram.copy h in
+      List.iter (fun (k, c) -> Histogram.add h ~count:c k) second;
+      let m2 = List.fold_left add_model m1 second in
+      let mo = List.fold_left add_model Int_map.empty other in
+      ok1 && agrees h m2 && agrees snapshot m1
+      && agrees (Histogram.merge h (build other))
+           (Int_map.union (fun _ a b -> Some (a + b)) m2 mo)
+      && agrees (Histogram.scale h factor)
+           (if factor = 0 then Int_map.empty
+            else Int_map.map (fun c -> c * factor) m2))
+
+(* Int_table against a Map model: keys include [min_int] (the table's
+   free-slot marker, bound outside its slots) and enough distinct keys to
+   make the table grow several times; a copy must not see later writes. *)
+let prop_int_table_matches_map_model =
+  let key =
+    QCheck.Gen.(
+      frequency
+        [ (6, int_range (-50) 200); (2, int_range 0 max_int);
+          (1, oneofl [ min_int; max_int; -1 ]) ])
+  in
+  let op = QCheck.Gen.(triple (int_range 0 2) key (int_range (-3) 9)) in
+  QCheck.Test.make ~name:"int table matches a Map reference model" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (triple int int int))
+       QCheck.Gen.(list_size (int_range 0 300) op))
+    (fun ops ->
+      let t = Int_table.create 0 in
+      let snapshot = ref (Int_table.copy t, Int_map.empty) in
+      let find m k = Option.value (Int_map.find_opt k m) ~default:(-7) in
+      let agrees t m =
+        Int_table.length t = Int_map.cardinal m
+        && List.sort compare (Int_table.fold (fun k v acc -> (k, v) :: acc) t [])
+           = Int_map.bindings m
+        && Int_map.for_all (fun k v -> Int_table.find t k ~default:(-7) = v) m
+      in
+      let m, ok =
+        List.fold_left
+          (fun (m, ok) (kind, k, v) ->
+            let m, ok =
+              match kind with
+              | 0 ->
+                let old = Int_table.swap t k v ~absent:(-7) in
+                (Int_map.add k v m, ok && old = find m k)
+              | 1 -> Int_table.add t k v;
+                (Int_map.add k (v + Option.value (Int_map.find_opt k m) ~default:0) m, ok)
+              | _ ->
+                (m, ok && Int_table.find t k ~default:(-7) = find m k)
+            in
+            if Int_map.cardinal m = 40 then snapshot := (Int_table.copy t, m);
+            (m, ok))
+          (Int_map.empty, true) ops
+      in
+      ok && agrees t m && agrees (fst !snapshot) (snd !snapshot))
+
 (* Pins the cached-sorted-view invalidation: interleave adds with reads
    of every sorted accessor and compare against a naive association-list
    model after each step. *)
@@ -550,6 +667,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_hist_total;
           QCheck_alcotest.to_alcotest prop_hist_merge_commutes;
           QCheck_alcotest.to_alcotest prop_hist_cached_view_equivalence;
+          QCheck_alcotest.to_alcotest prop_hist_matches_map_model;
+          QCheck_alcotest.to_alcotest prop_int_table_matches_map_model;
         ] );
       ( "stats",
         [
