@@ -494,7 +494,7 @@ let fig6_1 () =
              b :: "model" :: Table.fmt_f (Interval_model.cpi pred)
              :: List.map
                   (fun (_, v) -> Table.fmt_f (v /. pi))
-                  (Interval_model.components_list pred.pr_components);
+                  (Cpi_stack.labeled_alist pred.pr_components);
              "" :: "sim" :: Table.fmt_f (Sim_result.cpi sim)
              :: List.map
                   (fun (_, v) -> Table.fmt_f (v /. si))
@@ -1662,10 +1662,9 @@ let sweep_faults () =
           failwith ("sweep_faults: unexpected fault: " ^ Fault.to_string ft))
       outcome.Sweep.o_results
   in
-  let run ?checkpoint ?resume () =
+  let run ?checkpoint () =
     match
-      Sweep.model_sweep_result ~options ~jobs:1 ?checkpoint ?resume ~profile
-        configs
+      Sweep.model_sweep_result ~options ~jobs:1 ?checkpoint ~profile configs
     with
     | Ok o -> o
     | Error ft -> failwith ("sweep_faults: sweep failed: " ^ Fault.to_string ft)
@@ -1725,43 +1724,30 @@ let sweep_faults () =
       let plain_s = median (List.map fst pairs) in
       let ckpt_s = median (List.map snd pairs) in
       let overhead = median (List.map (fun (p, c) -> (c -. p) /. p) pairs) in
-      let batches =
-        (n_configs + Sweep.default_checkpoint_every - 1)
-        / Sweep.default_checkpoint_every
-      in
-      (* --- kill-and-resume recovery: a checkpoint holding the first 100
-         points plus a torn tail (exactly what a kill mid-append leaves),
-         resumed, must reproduce the uninterrupted sweep bit for bit. *)
-      let prefix = 100 in
-      remove_ckpt ();
+      (* The per-point engine's own block size at jobs=1. *)
+      let block_size = min 64 n_configs in
+      let blocks = (n_configs + block_size - 1) / block_size in
+      (* --- kill-and-resume recovery: the log of a real checkpointed
+         sweep, cut after its first [kept] records plus half of the next
+         line (exactly what a kill mid-append leaves), resumed, must
+         reproduce the uninterrupted sweep bit for bit. *)
+      let kept = 2 in
+      let prefix = kept * block_size in
       let base_evals = evals_of baseline in
-      (match
-         Checkpoint.open_ ckpt_path ~n_configs
-           ~workload:profile.Profile.p_workload
-       with
-      | Error ft -> failwith ("sweep_faults: " ^ Fault.to_string ft)
-      | Ok ck ->
-        Checkpoint.append ck
-          (List.filteri (fun i _ -> i < prefix) base_evals
-          |> List.map (fun (e : Sweep.eval) ->
-                 {
-                   Checkpoint.e_index = e.Sweep.sw_index;
-                   e_result =
-                     Ok
-                       {
-                         Checkpoint.nm_cpi = e.Sweep.sw_cpi;
-                         nm_cycles = e.Sweep.sw_cycles;
-                         nm_watts = e.Sweep.sw_watts;
-                         nm_seconds = e.Sweep.sw_seconds;
-                         nm_energy_j = e.Sweep.sw_energy_j;
-                         nm_ed2p = e.Sweep.sw_ed2p;
-                       };
-                 }));
-        Checkpoint.close ck);
-      let oc = open_out_gen [ Open_append ] 0o644 ckpt_path in
-      output_string oc "0bad0bad ok 100 0x1.2p3";
-      close_out oc;
-      let resumed = run ~checkpoint:ckpt_path ~resume:ckpt_path () in
+      remove_ckpt ();
+      ignore (run ~checkpoint:ckpt_path ());
+      let lines =
+        String.split_on_char '\n'
+          (In_channel.with_open_bin ckpt_path In_channel.input_all)
+      in
+      Out_channel.with_open_bin ckpt_path (fun oc ->
+          List.iteri
+            (fun i l ->
+              if i <= kept then output_string oc (l ^ "\n")
+              else if i = kept + 1 then
+                output_string oc (String.sub l 0 (String.length l / 2)))
+            lines);
+      let resumed = run ~checkpoint:ckpt_path () in
       let recovery_ok =
         resumed.Sweep.o_resumed = prefix
         && compare base_evals (evals_of resumed) = 0
@@ -1820,8 +1806,9 @@ let sweep_faults () =
             [ "no checkpoint"; Table.fmt_f ~decimals:4 plain_s;
               Table.fmt_f ~decimals:0 (float_of_int n_configs /. plain_s);
               "--" ];
-            [ Printf.sprintf "checkpoint every %d (%d batches, group commit)"
-                Sweep.default_checkpoint_every batches;
+            [ Printf.sprintf "checkpointed, %d-point blocks (%d blocks, group \
+                               commit)"
+                block_size blocks;
               Table.fmt_f ~decimals:4 ckpt_s;
               Table.fmt_f ~decimals:0 (float_of_int n_configs /. ckpt_s);
               Printf.sprintf "%.1f%% (%.1f us/point)" (100.0 *. overhead)
@@ -1869,8 +1856,8 @@ let sweep_faults () =
         "{\n\
         \  \"benchmark\": %S,\n\
         \  \"configs\": %d,\n\
-        \  \"checkpoint_every\": %d,\n\
-        \  \"batches_per_sweep\": %d,\n\
+        \  \"block_size\": %d,\n\
+        \  \"blocks_per_sweep\": %d,\n\
         \  \"plain_seconds\": %.6f,\n\
         \  \"checkpointed_seconds\": %.6f,\n\
         \  \"checkpoint_overhead\": %.4f,\n\
@@ -1885,7 +1872,7 @@ let sweep_faults () =
         \  \"recovery_bit_identical\": %b,\n\
         \  \"poisoned_config_isolated\": %b\n\
          }\n"
-        bench n_configs Sweep.default_checkpoint_every batches plain_s ckpt_s
+        bench n_configs block_size blocks plain_s ckpt_s
         overhead per_point_us stream_points stream_plain_s stream_ckpt_s
         stream_overhead prefix recovery_ok isolation_ok;
       close_out oc;

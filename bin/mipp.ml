@@ -95,8 +95,8 @@ let find_config name = or_die (Uarch.of_name name)
    conventional 128+signal status.  Only installed when a checkpoint is
    actually in play — an uncheckpointed run keeps the default
    die-immediately behavior. *)
-let install_checkpoint_flush ~checkpoint ~resume =
-  if checkpoint <> None || resume <> None then
+let install_checkpoint_flush ~checkpoint =
+  if checkpoint <> None then
     List.iter
       (fun signo ->
         ignore
@@ -214,7 +214,7 @@ let prediction_rows (pred : Interval_model.prediction) breakdown =
   ]
   @ List.map
       (fun (name, v) -> [ "CPI: " ^ name; Table.fmt_f (v /. pred.pr_instructions) ])
-      (Interval_model.components_list pred.pr_components)
+      (Cpi_stack.labeled_alist pred.pr_components)
 
 let predict_cmd =
   let run bench n seed config prefetch profile_file =
@@ -408,18 +408,14 @@ let multicore_cmd =
 
 let checkpoint_arg =
   let doc =
-    "Append evaluated design points to $(docv) (CRC-per-line, group-commit) \
-     so a killed sweep can be resumed with --resume."
+    "Log completed blocks of design points to $(docv) (CRC-per-line, \
+     group-commit).  If $(docv) already holds a log of the same run, resume \
+     it: points in the log are not re-evaluated, and the results are \
+     bit-identical to an uninterrupted run.  A log of a different run (other \
+     workload, profile, space, range or block size) or of an older format \
+     is refused with exit code 2."
   in
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
-
-let resume_arg =
-  let doc =
-    "Resume from a checkpoint written by --checkpoint (commonly the same \
-     file): design points already in the log are not re-evaluated, and the \
-     combined results are bit-identical to an uninterrupted run."
-  in
-  Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
 
 let keep_going_arg =
   let doc =
@@ -432,35 +428,25 @@ let keep_going_arg =
 let space_arg =
   let doc =
     "Design space to sweep: 'default' (the 243 points of Table 6.3) or \
-     'large' (the 1,451,520-point generation-scale space).  Spaces other \
-     than 'default' are always streamed."
+     'large' (the 1,451,520-point generation-scale space)."
   in
   Arg.(value & opt string "default" & info [ "space" ] ~docv:"SPACE" ~doc)
 
-let stream_arg =
-  let doc =
-    "Stream the sweep: build each config from its index on the fly \
-     (constant memory in the point count) and checkpoint per block instead \
-     of per point.  Implied by --space other than 'default', --limit, \
-     --offset and --block-size."
-  in
-  Arg.(value & flag & info [ "stream" ] ~doc)
-
 let limit_arg =
   let doc =
-    "Sweep at most $(docv) design points (streaming; combine with --offset \
-     to shard a space across machines)."
+    "Sweep at most $(docv) design points (combine with --offset to shard a \
+     space across machines)."
   in
   Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc)
 
 let offset_arg =
-  let doc = "Start the sweep at design-point index $(docv) (streaming)." in
+  let doc = "Start the sweep at design-point index $(docv)." in
   Arg.(value & opt (some int) None & info [ "offset" ] ~docv:"K" ~doc)
 
 let block_size_arg =
   let doc =
-    "Points per streaming block: the unit of parallel fan-out, \
-     checkpointing and resume."
+    "Points per block: the unit of parallel fan-out, checkpointing and \
+     resume."
   in
   Arg.(value & opt (some int) None & info [ "block-size" ] ~docv:"B" ~doc)
 
@@ -509,13 +495,8 @@ let run_refine_sweep ~space ~profile:p ~jobs =
          r.rf_front_evals);
   if r.rf_failed > 0 then exit exit_partial_failure
 
-let run_stream_sweep ~space ~profile:p ~jobs ~adjust ~checkpoint ~resume
-    ~keep_going ~offset ~limit ~block_size =
-  (* The streaming checkpoint doubles as resume; accept --resume as the
-     log path when --checkpoint was not given. *)
-  let checkpoint =
-    match (checkpoint, resume) with Some c, _ -> Some c | None, r -> r
-  in
+let run_stream_sweep ~space ~profile:p ~jobs ~adjust ~checkpoint ~keep_going
+    ~offset ~limit ~block_size =
   let t0 = Unix.gettimeofday () in
   let s =
     or_die
@@ -571,9 +552,9 @@ let run_stream_sweep ~space ~profile:p ~jobs ~adjust ~checkpoint ~resume
   if s.ss_failed > 0 || s.ss_skipped_blocks > 0 then exit exit_partial_failure
 
 let sweep_cmd =
-  let run bench n seed jobs profile_file calibrate checkpoint resume keep_going
-      space_name stream limit offset block_size refine =
-    install_checkpoint_flush ~checkpoint ~resume;
+  let run bench n seed jobs profile_file calibrate checkpoint keep_going
+      space_name limit offset block_size refine =
+    install_checkpoint_flush ~checkpoint;
     let p = obtain_profile ~bench ~n ~seed profile_file in
     let space = or_die (Config_space.find space_name) in
     let adjust =
@@ -585,64 +566,19 @@ let sweep_cmd =
         (Error
            (Fault.bad_input ~context:"sweep"
               "--calibrate is not supported with --refine"));
-    let streaming =
-      stream || space_name <> "default" || limit <> None || offset <> None
-      || block_size <> None
-    in
     if refine then run_refine_sweep ~space ~profile:p ~jobs
-    else if streaming then
-      run_stream_sweep ~space ~profile:p ~jobs ~adjust ~checkpoint ~resume
-        ~keep_going ~offset ~limit ~block_size
-    else begin
-    let t0 = Unix.gettimeofday () in
-    let outcome =
-      or_die
-        (Sweep.model_sweep_result ~jobs ?adjust ?checkpoint ?resume ~keep_going
-           ~profile:p Uarch.design_space)
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    List.iter
-      (function
-        | Ok _ -> ()
-        | Error ft -> Printf.eprintf "mipp: design point failed: %s\n"
-                        (Fault.to_string ft))
-      outcome.Sweep.o_results;
-    let evals = List.filter_map Result.to_option outcome.o_results in
-    let front = Pareto.frontier (Sweep.pareto_points evals) in
-    Table.section
-      (Printf.sprintf
-         "Design-space sweep: %s (%d ok / %d failed%s in %.2fs, %d jobs)"
-         p.Profile.p_workload outcome.o_ok outcome.o_failed
-         (if outcome.o_resumed > 0 then
-            Printf.sprintf ", %d resumed" outcome.o_resumed
-          else "")
-         dt jobs);
-    Table.print
-      ~header:[ "Pareto design"; "time (ms)"; "power (W)"; "CPI" ]
-      ~rows:
-        (List.map
-           (fun (pt : Pareto.point) ->
-             let e =
-               List.find (fun e -> e.Sweep.sw_index = pt.Pareto.pt_id) evals
-             in
-             [
-               e.Sweep.sw_config.name;
-               Table.fmt_f ~decimals:2 (1000.0 *. e.sw_seconds);
-               Table.fmt_f ~decimals:1 e.sw_watts;
-               Table.fmt_f e.sw_cpi;
-             ])
-           front);
-    if outcome.o_failed > 0 then exit exit_partial_failure
-    end
+    else
+      run_stream_sweep ~space ~profile:p ~jobs ~adjust ~checkpoint ~keep_going
+        ~offset ~limit ~block_size
   in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
          "Analytical design-space sweep (checkpointable, fault-isolated; \
-          --stream scales to million-point generated spaces)")
+          streams million-point generated spaces in constant memory)")
     Term.(const run $ bench_arg $ instructions_arg $ seed_arg $ jobs_arg
           $ profile_file_arg $ calibrate_file_arg $ checkpoint_arg
-          $ resume_arg $ keep_going_arg $ space_arg $ stream_arg $ limit_arg
+          $ keep_going_arg $ space_arg $ limit_arg
           $ offset_arg $ block_size_arg $ refine_arg)
 
 (* ---- validate ---- *)
@@ -695,9 +631,9 @@ let validate_cmd =
     in
     Arg.(value & opt (some string) None & info [ "matrix-out" ] ~docv:"FILE" ~doc)
   in
-  let run benches spec_files matrix n seed jobs calibrate checkpoint resume
+  let run benches spec_files matrix n seed jobs calibrate checkpoint
       keep_going gate output matrix_out =
-    install_checkpoint_flush ~checkpoint ~resume;
+    install_checkpoint_flush ~checkpoint;
     let calibrate =
       Option.map Calibrate.calibrator (load_calibrator calibrate)
     in
@@ -710,17 +646,17 @@ let validate_cmd =
     let specs = if specs = [] then [ find_bench "gcc" ] else specs in
     (* The checkpoint header names one workload; a shared log across
        workloads would reject every workload but the first. *)
-    if (checkpoint <> None || resume <> None) && List.length specs > 1 then
+    if checkpoint <> None && List.length specs > 1 then
       or_die
         (Error
            (Fault.bad_input ~context:"validate"
-              "--checkpoint/--resume require exactly one workload"));
+              "--checkpoint requires exactly one workload"));
     let t0 = Unix.gettimeofday () in
     let reports =
       List.map
         (fun spec ->
           or_die
-            (Validate.run_workload ~jobs ?checkpoint ?resume ~keep_going ~seed
+            (Validate.run_workload ~jobs ?checkpoint ~keep_going ~seed
                ~n_instructions:n ?calibrate ~spec configs))
         specs
     in
@@ -768,7 +704,7 @@ let validate_cmd =
           gate)")
     Term.(const run $ vbenches_arg $ vspec_files_arg $ matrix_arg
           $ vinstructions_arg $ seed_arg $ jobs_arg $ calibrate_file_arg
-          $ checkpoint_arg $ resume_arg $ keep_going_arg $ gate_arg $ json_arg
+          $ checkpoint_arg $ keep_going_arg $ gate_arg $ json_arg
           $ matrix_out_arg)
 
 (* ---- calibrate ---- *)

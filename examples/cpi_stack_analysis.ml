@@ -20,7 +20,7 @@ let analyze name =
   let si = float_of_int sim.r_instructions in
   let model_parts =
     List.map (fun (_, v) -> v /. pi)
-      (Interval_model.components_list pred.pr_components)
+      (Cpi_stack.labeled_alist pred.pr_components)
   in
   let sim_parts =
     List.map (fun (_, v) -> v /. si) (Sim_result.stack_components sim.r_stack)
@@ -43,7 +43,7 @@ let analyze name =
   Printf.printf "simulator |%s|  (b=base r=branch i=icache l=llc d=dram)\n"
     (bar sim_parts);
   (* §7.1: act on the dominant component. *)
-  let components = Interval_model.components_list pred.pr_components in
+  let components = Cpi_stack.labeled_alist pred.pr_components in
   let dominant, _ =
     List.fold_left
       (fun (bn, bv) (n, v) -> if v > bv then (n, v) else (bn, bv))

@@ -39,6 +39,11 @@ val get : t -> component -> float
 val total : t -> float
 val scale : t -> float -> t
 val map2 : (float -> float -> float) -> t -> t -> t
+
+val weighted_sum : float array -> t array -> t
+(** [weighted_sum w ts]: component [c] is the sum, from [0.0] and in
+    index order, of [w.(k) *. get ts.(k) c]. *)
+
 val to_alist : t -> (component * float) list
 (** In [all] order. *)
 

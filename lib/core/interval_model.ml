@@ -1,23 +1,3 @@
-type components = {
-  c_base : float;
-  c_branch : float;
-  c_icache : float;
-  c_llc_hit : float;
-  c_dram : float;
-}
-
-let components_total c =
-  c.c_base +. c.c_branch +. c.c_icache +. c.c_llc_hit +. c.c_dram
-
-(* The keyed view is the canonical one: every printed or diffed stack
-   goes through [Cpi_stack], so the labels cannot drift from the
-   simulator's (they are the same enumeration). *)
-let keyed_components c =
-  Cpi_stack.of_values ~base:c.c_base ~branch:c.c_branch ~icache:c.c_icache
-    ~llc_hit:c.c_llc_hit ~dram:c.c_dram
-
-let components_list c = Cpi_stack.labeled_alist (keyed_components c)
-
 type overrides = {
   ov_branch_missrate : float option;
   ov_load_miss_ratios : (float * float * float) option;
@@ -72,7 +52,7 @@ type prediction = {
   pr_cycles : float;
   pr_instructions : float;
   pr_uops : float;
-  pr_components : components;
+  pr_components : Cpi_stack.t;
   pr_mlp : float;
   pr_branch_mispredicts : float;
   pr_load_misses : float * float * float;
@@ -85,12 +65,12 @@ type prediction = {
 let cpi p = if p.pr_instructions = 0.0 then 0.0 else p.pr_cycles /. p.pr_instructions
 
 let cpi_stack p =
-  let k = keyed_components p.pr_components in
-  if p.pr_instructions = 0.0 then Cpi_stack.scale k 0.0
-  else Cpi_stack.scale k (1.0 /. p.pr_instructions)
+  if p.pr_instructions = 0.0 then Cpi_stack.scale p.pr_components 0.0
+  else Cpi_stack.scale p.pr_components (1.0 /. p.pr_instructions)
 
 let dram_wait_cpi p =
-  if p.pr_instructions = 0.0 then 0.0 else p.pr_components.c_dram /. p.pr_instructions
+  if p.pr_instructions = 0.0 then 0.0
+  else Cpi_stack.get p.pr_components Dram /. p.pr_instructions
 
 let lines (lvl : Uarch.cache_level) = max 1 (lvl.size_bytes / lvl.line_bytes)
 
@@ -468,7 +448,7 @@ let core_microtrace (opts : options) (u : Uarch.t) (profile : Profile.t)
 
 type mt_eval = {
   ev_cycles : float;
-  ev_components : components;
+  ev_components : Cpi_stack.t;
   ev_uops : float;
   ev_instructions : float;
   ev_mispredicts : float;
@@ -572,18 +552,13 @@ let finish_microtrace (opts : options) (u : Uarch.t) mc =
     if denom <= 0.0 then dram_cycles
     else dram_cycles *. Float.max 0.0 (1.0 -. (icache_cycles /. denom))
   in
-  let comps =
-    {
-      c_base = mc.mc_base;
-      c_branch = branch_cycles;
-      c_icache = icache_cycles;
-      c_llc_hit = mc.mc_llc_chain;
-      c_dram = dram_cycles;
-    }
-  in
   {
-    ev_cycles = components_total comps;
-    ev_components = comps;
+    ev_cycles =
+      mc.mc_base +. branch_cycles +. icache_cycles +. mc.mc_llc_chain
+      +. dram_cycles;
+    ev_components =
+      Cpi_stack.of_values ~base:mc.mc_base ~branch:branch_cycles
+        ~icache:icache_cycles ~llc_hit:mc.mc_llc_chain ~dram:dram_cycles;
     ev_uops = mc.mc_uops;
     ev_instructions = mc.mc_instructions;
     ev_mispredicts = mispredicts;
@@ -761,14 +736,14 @@ let finish cr (u : Uarch.t) =
   let mispredicts = ref 0.0 in
   let lm1 = ref 0.0 and lm2 = ref 0.0 and lm3 = ref 0.0 in
   let dram_loads = ref 0.0 and dram_stores = ref 0.0 in
-  let c_base = ref 0.0 and c_branch = ref 0.0 and c_icache = ref 0.0 in
-  let c_llc_hit = ref 0.0 and c_dram = ref 0.0 in
+  let weights = Array.make (Array.length evals) 0.0 in
   let mlp_weighted = ref 0.0 and mlp_plain = ref 0.0 in
   let l_width = ref 0.0 and l_deps = ref 0.0 and l_ports = ref 0.0 in
   let l_units = ref 0.0 in
   for k = 0 to Array.length evals - 1 do
     let ev = evals.(k) in
     let s = scale_of ev in
+    weights.(k) <- s;
     cycles := !cycles +. (s *. ev.ev_cycles);
     instructions := !instructions +. (s *. ev.ev_instructions);
     uops := !uops +. (s *. ev.ev_uops);
@@ -779,11 +754,6 @@ let finish cr (u : Uarch.t) =
      lm3 := !lm3 +. (s *. c));
     dram_loads := !dram_loads +. (s *. ev.ev_dram_loads);
     dram_stores := !dram_stores +. (s *. ev.ev_dram_stores);
-    c_base := !c_base +. (s *. ev.ev_components.c_base);
-    c_branch := !c_branch +. (s *. ev.ev_components.c_branch);
-    c_icache := !c_icache +. (s *. ev.ev_components.c_icache);
-    c_llc_hit := !c_llc_hit +. (s *. ev.ev_components.c_llc_hit);
-    c_dram := !c_dram +. (s *. ev.ev_components.c_dram);
     mlp_weighted := !mlp_weighted +. (s *. (ev.ev_mlp *. ev.ev_dram_loads));
     mlp_plain := !mlp_plain +. ev.ev_mlp;
     l_width := !l_width +. (s *. (ev.ev_limits.lim_width *. ev.ev_uops));
@@ -796,13 +766,7 @@ let finish cr (u : Uarch.t) =
   let lm1 = !lm1 and lm2 = !lm2 and lm3 = !lm3 in
   let dram_loads = !dram_loads and dram_stores = !dram_stores in
   let comps =
-    {
-      c_base = !c_base;
-      c_branch = !c_branch;
-      c_icache = !c_icache;
-      c_llc_hit = !c_llc_hit;
-      c_dram = !c_dram;
-    }
+    Cpi_stack.weighted_sum weights (Array.map (fun ev -> ev.ev_components) evals)
   in
   (* DRAM-weighted MLP; plain average when there are no misses. *)
   let mlp =

@@ -16,23 +16,6 @@
     (simulation-provided) inputs replace the statistical models — the
     "previously proposed interval model" baseline of §7.5. *)
 
-type components = {
-  c_base : float;  (** N / Deff cycles *)
-  c_branch : float;
-  c_icache : float;
-  c_llc_hit : float;  (** chained-LLC-hit penalty *)
-  c_dram : float;
-}
-
-val components_total : components -> float
-
-val keyed_components : components -> Cpi_stack.t
-(** The canonical keyed view; diffable against a simulator stack by
-    {!Cpi_stack.component} instead of positional label lists. *)
-
-val components_list : components -> (string * float) list
-(** [Cpi_stack.labeled_alist] of [keyed_components] — kept for printing. *)
-
 (** Measured inputs that replace the statistical models when present. *)
 type overrides = {
   ov_branch_missrate : float option;  (** mispredictions per branch *)
@@ -71,7 +54,10 @@ type prediction = {
   pr_cycles : float;
   pr_instructions : float;
   pr_uops : float;
-  pr_components : components;
+  pr_components : Cpi_stack.t;
+      (** cycles per component: [Base] is N / Deff, [Llc_hit] the
+          chained-LLC-hit penalty; [pr_cycles] is their sum in
+          {!Cpi_stack.all} order *)
   pr_mlp : float;  (** DRAM-miss-weighted average MLP *)
   pr_branch_mispredicts : float;
   pr_load_misses : float * float * float;  (** L1 / L2 / L3 counts *)
@@ -84,8 +70,8 @@ type prediction = {
 val cpi : prediction -> float
 
 val cpi_stack : prediction -> Cpi_stack.t
-(** The predicted CPI stack per instruction: [keyed_components] scaled
-    by [1 / pr_instructions] (all-zero when no instructions ran). *)
+(** The predicted CPI stack per instruction: [pr_components] scaled by
+    [1 / pr_instructions] (all-zero when no instructions ran). *)
 
 val dram_wait_cpi : prediction -> float
 

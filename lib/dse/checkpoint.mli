@@ -1,54 +1,48 @@
 (** Append-only, crash-tolerant sweep checkpoint log.
 
-    A sweep with checkpointing appends one record per evaluated design
-    point, written in small batches, so a killed process loses at most
-    the in-flight batch (completed writes live in the page cache and
-    survive process death).  The log is fsync'd at most once per second,
-    bounding what a power failure can lose to the last second of
-    progress.  Every line carries its own CRC-32: a torn tail write
-    invalidates only the last record, which [load] silently drops (the
-    resumed sweep re-evaluates that point).  Result floats are stored as
-    raw IEEE-754 bit patterns, making a kill-and-resume sweep
+    A checkpointed sweep appends one record per completed block of
+    design points, written a group of blocks at a time, so a killed
+    process loses at most the in-flight group (completed writes live in
+    the page cache and survive process death).  The log is fsync'd at
+    most once per second, bounding what a power failure can lose to the
+    last second of progress.  Every line carries its own CRC-32: a torn
+    tail write invalidates only the last record, which {!open_} drops
+    (the resumed sweep re-evaluates that block).  Result floats are
+    stored as raw IEEE-754 bit patterns, making a kill-and-resume sweep
     bit-identical to an uninterrupted one.
 
-    Records are flat float vectors of a fixed per-file width declared in
-    the header, so different sweeps checkpoint different payload shapes
-    through one format: the design sweep uses the named 6-float
-    {!numbers} view, the model-vs-simulator validation matrix uses the
-    generic {!vec_entry} interface with its wider payload.  Version-1
-    logs (written before the width field existed) load as width 6. *)
+    The log knows nothing about what a record means.  Its header holds
+    an identity string chosen by the sweep (what is swept, over which
+    inputs), and {!open_} resumes a log only when that string matches
+    exactly; each record holds the point range it covers and a list of
+    float-vector-or-fault items that the sweep encodes and decodes. *)
 
 type t
 (** An open checkpoint file, ready for appending. *)
 
-(** {1 Generic vector records} *)
+type record = {
+  r_start : int;  (** first point index the record covers *)
+  r_count : int;  (** number of points covered, [>= 1] *)
+  r_items : (float array, Fault.t) result list;
+      (** the block's payload: a per-point sweep stores one item per
+          point (failed points too, so a resume does not re-run known-bad
+          configs), a streaming sweep one summary vector per block *)
+}
 
-type vec_entry = { v_index : int; v_result : (float array, Fault.t) result }
-(** One record: the point's index and its outcome as a flat float
-    vector of the file's declared width.  Failed points are checkpointed
-    too, so a resume under [--keep-going] does not re-run known-bad
-    configs. *)
+val open_ : string -> header:string -> (t * record list, Fault.t) result
+(** [open_ path ~header] creates [path] with [header] as its identity,
+    or — if the file exists and is not empty — resumes it: the stored
+    header must equal [header] exactly, otherwise resuming would
+    silently mix records from a different sweep.  Returns the records
+    the log already holds, in file order, decoding up to the first line
+    whose CRC or syntax does not check out; that torn tail is truncated
+    away so new records never get glued onto a partial line.  Logs
+    written by an older format version are refused.  Every [Error] is a
+    [Fault.Bad_input]. *)
 
-val open_vec :
-  string -> n_configs:int -> width:int -> workload:string ->
-  (t, Fault.t) result
-(** [open_vec path ~n_configs ~width ~workload] creates [path] with a
-    header identifying the sweep (config count, payload width, workload
-    name), or — if the file exists — validates that its header matches,
-    refusing to mix records from a different sweep.  A torn tail left by
-    a kill mid-append is truncated away, so new records never get glued
-    onto a partial line. *)
-
-val append_vec : t -> vec_entry list -> unit
+val append : t -> record list -> unit
 (** Append records in one write, fsync'ing at most once per second
-    (group commit).  Raises [Fault.Error] on short writes or on an [Ok]
-    payload whose length differs from the file's width. *)
-
-val load_vec : string -> (int * int * string * vec_entry list, Fault.t) result
-(** [load_vec path] is [Ok (n_configs, width, workload, entries)].
-    Decoding stops at the first CRC-invalid line (torn tail): everything
-    before it is trusted, everything after discarded.  [Error] only for
-    unreadable files or a bad header. *)
+    (group commit).  Raises [Fault.Error] on a failed write. *)
 
 val close : t -> unit
 
@@ -62,72 +56,3 @@ val sync_all : unit -> unit
     any torn tail harmless on the next open.  This is what lets a
     SIGTERM'd [mipp sweep]/[mipp validate] guarantee the log is durable
     before exiting. *)
-
-(** {1 Streaming block records (version 3)}
-
-    A streaming sweep over a generated space checkpoints per completed
-    index {e block}, not per point: each record carries the block's
-    fixed-width accumulator vector and its local Pareto front, so the log
-    stays a few hundred bytes per block no matter how large the space is.
-    The same CRC framing, group commit and torn-tail truncation apply, so
-    kill-and-resume stays bit-identical at any scale. *)
-
-type stream_meta = {
-  sm_n_points : int;  (** size of the whole config space *)
-  sm_stats_width : int;  (** floats per block stats vector *)
-  sm_block_size : int;  (** points per block *)
-  sm_offset : int;  (** first point index of the swept sub-range *)
-  sm_length : int;  (** number of points in the swept sub-range *)
-  sm_workload : string;
-}
-
-type stream_block = {
-  b_index : int;  (** block number within the sub-range, from 0 *)
-  b_stats : float array;
-  b_front : (int * float * float) list;  (** point id, delay, power *)
-}
-
-val open_stream :
-  string -> meta:stream_meta -> (t * stream_block list, Fault.t) result
-(** Create a v3 log (writing the header), or open an existing one —
-    validating that its header meta is identical, truncating any torn
-    tail — and return the blocks it already holds, so the sweep resumes
-    at the first missing block. *)
-
-val append_blocks : t -> stream_block list -> unit
-(** Append block records in one write (group commit, like
-    [append_vec]).  Raises [Fault.Error] on a stats vector whose length
-    differs from the file's declared width. *)
-
-val load_stream :
-  string -> (stream_meta * stream_block list, Fault.t) result
-(** Read-only decode of a v3 log; stops at the first CRC-invalid line. *)
-
-(** {1 The design-sweep view}
-
-    A named 6-float payload — the primary interface for [Sweep] — layered
-    over the vector records. *)
-
-(** The serializable numbers of one evaluated design point — everything
-    [Sweep.eval] holds except the config, which the resuming sweep
-    reconstructs from the design point's index. *)
-type numbers = {
-  nm_cpi : float;
-  nm_cycles : float;
-  nm_watts : float;
-  nm_seconds : float;
-  nm_energy_j : float;
-  nm_ed2p : float;
-}
-
-type entry = { e_index : int; e_result : (numbers, Fault.t) result }
-
-val open_ :
-  string -> n_configs:int -> workload:string -> (t, Fault.t) result
-(** [open_vec] with the design sweep's payload width (6). *)
-
-val append : t -> entry list -> unit
-
-val load : string -> (int * string * entry list, Fault.t) result
-(** [load path] is [Ok (n_configs, workload, entries)] for a
-    design-sweep (width 6) log; [Error] on any other width. *)

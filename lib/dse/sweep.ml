@@ -39,41 +39,18 @@ let pareto_points evals =
       { Pareto.pt_id = e.sw_index; pt_delay = e.sw_seconds; pt_power = e.sw_watts })
     evals
 
-(* ---- Fault-isolated engine ---- *)
+(* ---- Fault isolation ---- *)
 
 type point_result = (eval, Fault.t) result
 
-type outcome = {
-  o_results : point_result list;
+type 'a run = {
+  o_results : ('a, Fault.t) result list;
   o_ok : int;
   o_failed : int;
   o_resumed : int;
 }
 
-type 'a run = {
-  run_results : ('a, Fault.t) result list;
-  run_ok : int;
-  run_failed : int;
-  run_resumed : int;
-}
-
-let vec_of_eval e =
-  [| e.sw_cpi; e.sw_cycles; e.sw_watts; e.sw_seconds; e.sw_energy_j;
-     e.sw_ed2p |]
-
-let eval_payload_width = 6
-
-let eval_of_vec config ~index v =
-  {
-    sw_index = index;
-    sw_config = config;
-    sw_cpi = v.(0);
-    sw_cycles = v.(1);
-    sw_watts = v.(2);
-    sw_seconds = v.(3);
-    sw_energy_j = v.(4);
-    sw_ed2p = v.(5);
-  }
+type outcome = eval run
 
 (* A design point whose prediction came out NaN/infinite is a fault of
    that point, not a value to rank: Pareto fronts and best-under-budget
@@ -93,200 +70,348 @@ let check_numeric (e : eval) =
       (Fault.numeric
          (Printf.sprintf "design point %d: non-finite %s (%h)" e.sw_index name v))
 
-let default_checkpoint_every = 64
+(* ---- The block engine ----
 
-(* Generic fault-isolated driver, shared by the design sweeps and the
-   model-vs-simulator validation matrix.  [eval_point i] does the real
-   work for point [i] of [n_points]; [encode]/[decode] round-trip a
-   point's payload through the width-[width] checkpoint vector (the
-   caller reconstructs anything config-shaped from the index); [check]
-   rejects evaluations the caller considers invalid (e.g. non-finite
-   numbers) as per-point faults.  Everything here is bookkeeping:
-   restoring checkpointed results, evaluating the remaining points in
-   fault-isolated batches, appending each batch to the checkpoint before
-   moving on, and stopping early (remaining points marked skipped, not
-   checkpointed) when a fault occurs without [keep_going]. *)
-let run_generic ?(jobs = 1) ?checkpoint ?resume
-    ?(checkpoint_every = default_checkpoint_every) ?(keep_going = true)
-    ~workload ~n_points ~width ~encode ~decode ~check ~eval_point () =
-  let n = n_points in
-  let known = Array.make n None in
-  let resumed = ref 0 in
-  let restore path =
-    match Checkpoint.load_vec path with
-    | Error ft -> Error ft
-    | Ok (nc, fw, w, _) when nc <> n || fw <> width || w <> workload ->
-      Error
-        (Fault.bad_input ~context:("checkpoint " ^ path)
-           (Printf.sprintf
-              "cannot resume: file is for %d configs of %S (width %d), this \
-               sweep has %d configs of %S (width %d)"
-              nc w fw n workload width))
-    | Ok (_, _, _, entries) ->
-      List.iter
-        (fun (e : Checkpoint.vec_entry) ->
-          if known.(e.v_index) = None then incr resumed;
-          known.(e.v_index) <-
-            Some (Result.map (decode ~index:e.v_index) e.v_result))
-        entries;
-      Ok ()
+   Every sweep — a list of configs, a validation matrix, a million-point
+   generated space — is one walk over a range of point indices in
+   contiguous blocks.  Blocks are the unit of everything but evaluation:
+   they fan out over [jobs] worker domains, each block evaluating its
+   points sequentially in index order; with a log, [jobs] blocks at a
+   time, each completed group appended as one record per block; and a
+   [keep_going:false] run stops after the group holding the first fault.
+   What a block keeps of its points is the consumer's choice: the
+   per-point consumer keeps every result ([points]), the streaming
+   consumer folds them into a fixed-width summary ([stream]).
+
+   On resume the records already in the log are taken as they are, and
+   only the points no record covers are evaluated, in blocks cut at the
+   [block_size] grid.  A summary depends on where its blocks start and
+   end, so the streaming consumer binds the block size into its header
+   and restored blocks always sit on the grid; per-point results do not,
+   so a per-point log resumes under any block size, hence any [jobs]. *)
+
+type 'b block =
+  | Restored of 'b  (* read back from the checkpoint log *)
+  | Fresh of 'b  (* evaluated by this run *)
+  | Skipped  (* left out: a [keep_going:false] run stopped first *)
+
+(* The runs of [offset, offset + length) that no [covered] (start, stop)
+   range (sorted, disjoint) touches, cut at the block grid, in order. *)
+let uncovered ~offset ~length ~block_size covered =
+  let hi = offset + length in
+  let rec go pos covered acc =
+    if pos >= hi then List.rev acc
+    else
+      match covered with
+      | (_, stop) :: rest when stop <= pos -> go pos rest acc
+      | (start, stop) :: _ when start <= pos -> go stop covered acc
+      | _ ->
+        let next = match covered with (start, _) :: _ -> start | [] -> hi in
+        let grid = offset + ((((pos - offset) / block_size) + 1) * block_size) in
+        let stop = min (min next grid) hi in
+        go stop covered ((pos, stop) :: acc)
   in
-  let resume_status =
-    match resume with None -> Ok () | Some path -> restore path
-  in
-  match resume_status with
-  | Error ft -> Error ft
-  | Ok () -> (
-    let ckpt =
-      match checkpoint with
-      | None -> Ok None
-      | Some path ->
-        Result.map Option.some
-          (Checkpoint.open_vec path ~n_configs:n ~width ~workload)
+  go offset covered []
+
+let rec chunks k = function
+  | [] -> []
+  | l ->
+    let rec take i acc = function
+      | x :: rest when i > 0 -> take (i - 1) (x :: acc) rest
+      | rest -> (List.rev acc, rest)
     in
-    match ckpt with
-    | Error ft -> Error ft
-    | Ok ckpt ->
-      Fun.protect
-        ~finally:(fun () -> Option.iter Checkpoint.close ckpt)
-        (fun () ->
+    let hd, tl = take k [] l in
+    hd :: chunks k tl
+
+(* Returns every block of the range as (start, stop, block), ascending.
+   [header ()] is the log identity, computed only when a checkpoint is
+   given; [decode ~start ~count items] is [None] on a record that does
+   not fit the consumer, which refuses the log. *)
+let run_blocks ?(jobs = 1) ?checkpoint ?(keep_going = true) ~header ~offset
+    ~length ~block_size ~eval_block ~encode ~decode ~failed () =
+  let log =
+    match checkpoint with
+    | None -> Ok (None, [])
+    | Some path ->
+      Result.map
+        (fun (t, records) -> (Some t, records))
+        (Checkpoint.open_ path ~header:(header ()))
+  in
+  match log with
+  | Error ft -> Error ft
+  | Ok (log, records) ->
+    Fun.protect
+      ~finally:(fun () -> Option.iter Checkpoint.close log)
+      (fun () ->
+        (* A record overlapping an earlier one (a block written twice) is
+           dropped: the first copy already holds the same results. *)
+        let rec restore last acc = function
+          | [] -> Ok (List.rev acc)
+          | (r : Checkpoint.record) :: rest when r.r_start < last ->
+            restore last acc rest
+          | r :: rest -> (
+            let stop = r.r_start + r.r_count in
+            let fits = r.r_start >= offset && stop <= offset + length in
+            match
+              if fits then decode ~start:r.r_start ~count:r.r_count r.r_items
+              else None
+            with
+            | Some b -> restore stop ((r.r_start, stop, Restored b) :: acc) rest
+            | None ->
+              Error
+                (Fault.bad_input
+                   ~context:("checkpoint " ^ Option.value checkpoint ~default:"")
+                   (Printf.sprintf
+                      "record for points [%d, %d) does not belong to this \
+                       sweep"
+                      r.r_start stop)))
+        in
+        match
+          restore min_int []
+            (List.stable_sort
+               (fun (a : Checkpoint.record) b -> compare a.r_start b.r_start)
+               records)
+        with
+        | Error ft -> Error ft
+        | Ok restored ->
           let pending =
-            List.filter (fun i -> known.(i) = None) (List.init n Fun.id)
-          in
-          (* Batches bound both the checkpoint loss window and, without
-             keep-going, how far past the first fault the sweep runs. *)
-          let batch_size =
-            if ckpt <> None || not keep_going then max 1 checkpoint_every
-            else max 1 (List.length pending)
-          in
-          let rec batches = function
-            | [] -> []
-            | l ->
-              let rec take k = function
-                | x :: rest when k > 0 ->
-                  let hd, tl = take (k - 1) rest in
-                  (x :: hd, tl)
-                | rest -> ([], rest)
-              in
-              let hd, tl = take batch_size l in
-              hd :: batches tl
+            uncovered ~offset ~length ~block_size
+              (List.map (fun (start, stop, _) -> (start, stop)) restored)
           in
           let stopped = ref false in
-          List.iter
-            (fun batch ->
-              if !stopped then
-                List.iter
-                  (fun i ->
-                    known.(i) <-
-                      Some
-                        (Error
-                           (Fault.bad_input ~context:"sweep"
-                              (Printf.sprintf
-                                 "design point %d skipped: an earlier point \
-                                  failed (run with keep-going to evaluate \
-                                  every point)"
-                                 i))))
-                  batch
-              else begin
-                let results = Parallel.map_result ~jobs eval_point batch in
-                let results =
-                  List.map (fun r -> Result.bind r check) results
-                in
-                List.iter2 (fun i r -> known.(i) <- Some r) batch results;
-                Option.iter
-                  (fun c ->
-                    Checkpoint.append_vec c
-                      (List.map2
-                         (fun i r ->
-                           { Checkpoint.v_index = i;
-                             v_result = Result.map encode r })
-                         batch results))
-                  ckpt;
-                if (not keep_going) && List.exists Result.is_error results then
-                  stopped := true
-              end)
-            (batches pending);
-          let results =
-            Array.to_list
-              (Array.map
-                 (function Some r -> r | None -> assert false)
-                 known)
+          let fresh =
+            List.concat_map
+              (fun group ->
+                if !stopped then
+                  List.map (fun (start, stop) -> (start, stop, Skipped)) group
+                else begin
+                  let arr = Array.of_list group in
+                  let out =
+                    Parallel.map_array ~jobs
+                      (fun (start, stop) -> eval_block ~start ~stop)
+                      arr
+                  in
+                  Option.iter
+                    (fun t ->
+                      Checkpoint.append t
+                        (Array.to_list
+                           (Array.map2
+                              (fun (start, stop) b ->
+                                { Checkpoint.r_start = start;
+                                  r_count = stop - start;
+                                  r_items = encode b })
+                              arr out)))
+                    log;
+                  if (not keep_going) && Array.exists failed out then
+                    stopped := true;
+                  Array.to_list
+                    (Array.map2
+                       (fun (start, stop) b -> (start, stop, Fresh b))
+                       arr out)
+                end)
+              (* A group is the unit of logging and of stopping; with
+                 neither in play all blocks go out in one fan-out, split
+                 into [jobs] contiguous runs. *)
+              (if Option.is_none log && keep_going then [ pending ]
+               else chunks (max 1 jobs) pending)
           in
-          let ok = List.length (List.filter Result.is_ok results) in
           Ok
-            {
-              run_results = results;
-              run_ok = ok;
-              run_failed = n - ok;
-              run_resumed = !resumed;
-            }))
+            (List.merge
+               (fun (a, _, _) (b, _, _) -> compare a b)
+               restored fresh))
 
-(* The design-sweep instance of the generic driver: payload is the six
-   [eval] numbers, configs are reconstructed from the point index. *)
-let run_sweep ?jobs ?checkpoint ?resume ?checkpoint_every ?keep_going ~workload
-    ~eval_point configs =
-  let configs_a = Array.of_list configs in
-  let n = Array.length configs_a in
+let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [ No_sharing ]))
+
+let profile_digest profile =
+  Digest.to_hex (Digest.string (Profile_io.to_binary_string profile))
+
+(* ---- Per-point consumer ---- *)
+
+let skipped_fault i =
+  Fault.bad_input ~context:"sweep"
+    (Printf.sprintf
+       "design point %d skipped: an earlier point failed (run with \
+        keep-going to evaluate every point)"
+       i)
+
+let points ?(jobs = 1) ?checkpoint ?block_size ?keep_going ~identity
+    ~n_points ~width ~encode ~decode ~check ~evaluator () =
+  let n = n_points in
+  let jobs = max 1 jobs in
+  (* At most [n / jobs] points per block, so the blocks spread over every
+     worker; at most 64, so a kill loses little work. *)
+  let block_size =
+    Option.value block_size ~default:(max 1 (min 64 ((n + jobs - 1) / jobs)))
+  in
+  if block_size < 1 then
+    Error
+      (Fault.bad_input ~context:"sweep"
+         (Printf.sprintf "block size %d, must be >= 1" block_size))
+  else
+    let eval_block ~start ~stop =
+      Array.map
+        (fun r -> Result.bind r check)
+        (Parallel.map_result_array ~jobs:1 (evaluator ())
+           (Array.init (stop - start) (fun k -> start + k)))
+    in
+    let decode_block ~start ~count items =
+      if List.length items <> count then None
+      else
+        let decoded =
+          List.mapi
+            (fun k -> function
+              | Ok v when Array.length v = width ->
+                Some (Ok (decode ~index:(start + k) v))
+              | Ok _ -> None
+              | Error ft -> Some (Error ft))
+            items
+        in
+        if List.mem None decoded then None
+        else Some (Array.of_list (List.map Option.get decoded))
+    in
+    Result.map
+      (fun blocks ->
+        let results = Array.make n None and resumed = ref 0 in
+        List.iter
+          (fun (start, stop, block) ->
+            let fill b =
+              Array.iteri (fun k r -> results.(start + k) <- Some r) b
+            in
+            match block with
+            | Restored b ->
+              resumed := !resumed + (stop - start);
+              fill b
+            | Fresh b -> fill b
+            | Skipped ->
+              for i = start to stop - 1 do
+                results.(i) <- Some (Error (skipped_fault i))
+              done)
+          blocks;
+        let o_results = Array.to_list (Array.map Option.get results) in
+        let ok = List.length (List.filter Result.is_ok o_results) in
+        { o_results; o_ok = ok; o_failed = n - ok; o_resumed = !resumed })
+      (run_blocks ~jobs ?checkpoint ?keep_going
+         ~header:(fun () -> Printf.sprintf "points n=%d %s" n (identity ()))
+         ~offset:0 ~length:n ~block_size ~eval_block
+         ~encode:(fun b -> Array.to_list (Array.map (Result.map encode) b))
+         ~decode:decode_block ~failed:(Array.exists Result.is_error) ())
+
+let run_points ?jobs ?checkpoint ?block_size ?keep_going ~identity ~n_points
+    ~width ~encode ~decode ~check ~eval_point () =
+  points ?jobs ?checkpoint ?block_size ?keep_going ~identity ~n_points ~width
+    ~encode ~decode ~check ~evaluator:(fun () -> eval_point) ()
+
+let vec_of_eval e =
+  [| e.sw_cpi; e.sw_cycles; e.sw_watts; e.sw_seconds; e.sw_energy_j;
+     e.sw_ed2p |]
+
+let eval_of_vec config ~index v =
+  {
+    sw_index = index;
+    sw_config = config;
+    sw_cpi = v.(0);
+    sw_cycles = v.(1);
+    sw_watts = v.(2);
+    sw_seconds = v.(3);
+    sw_energy_j = v.(4);
+    sw_ed2p = v.(5);
+  }
+
+(* The design sweeps over an explicit config list: the payload is the six
+   [eval] numbers, the config is recovered from the point index. *)
+let eval_points ?jobs ?checkpoint ?block_size ?keep_going ~identity ~evaluator
+    configs =
+  points ?jobs ?checkpoint ?block_size ?keep_going
+    ~n_points:(Array.length configs)
+    ~identity:(fun () ->
+      Printf.sprintf "%s configs=%s" (identity ()) (digest configs))
+    ~width:6 ~encode:vec_of_eval
+    ~decode:(fun ~index v -> eval_of_vec configs.(index) ~index v)
+    ~check:check_numeric ~evaluator ()
+
+(* The staged point evaluator: it keeps the last core-stage result and the
+   last prediction with the configs they were computed for, and reuses
+   them while the next point's stage inputs are structurally equal.  In
+   index order the inner axes of a space (memory, operating point) then
+   leave most points a [finish] or a copy away from their prediction.  A
+   reused prediction differs from the stored one only in [pr_uarch], which
+   is exactly what a fresh [predict] would give. *)
+let staged_evaluator ~options ?adjust ~profile config_of_index =
+  let last_core = ref None and last_pred = ref None in
+  fun index ->
+    let config = config_of_index index in
+    let pred =
+      match !last_pred with
+      | Some (u, pred) when Interval_model.same_inputs u config ->
+        { pred with Interval_model.pr_uarch = config.Uarch.name }
+      | _ ->
+        let core =
+          match !last_core with
+          | Some (u, core) when Interval_model.same_core_inputs u config -> core
+          | _ ->
+            let core = Interval_model.core_stage ~options config profile in
+            last_core := Some (config, core);
+            core
+        in
+        let pred = Interval_model.finish core config in
+        last_pred := Some (config, pred);
+        pred
+    in
+    let cycles = Option.map (fun f -> f config pred) adjust in
+    of_prediction ?cycles config ~index pred
+
+let model_evaluator ?(options = Interval_model.default_options) ?adjust
+    ~profile space =
+  staged_evaluator ~options ?adjust ~profile (Config_space.config_of_index space)
+
+(* Validate the profile and build every config-independent StatStack
+   structure once, before the fan-out: the worker domains then only read
+   the memo tables, and the per-static-load lazies are already forced (a
+   racing first force would raise [Lazy.Undefined]). *)
+let prepare ~options profile =
   Result.map
-    (fun r ->
-      {
-        o_results = r.run_results;
-        o_ok = r.run_ok;
-        o_failed = r.run_failed;
-        o_resumed = r.run_resumed;
-      })
-    (run_generic ?jobs ?checkpoint ?resume ?checkpoint_every ?keep_going
-       ~workload ~n_points:n ~width:eval_payload_width ~encode:vec_of_eval
-       ~decode:(fun ~index v -> eval_of_vec configs_a.(index) ~index v)
-       ~check:check_numeric
-       ~eval_point:(fun i -> eval_point i configs_a.(i))
-       ())
+    (fun () ->
+      match options.Interval_model.combine with
+      | `Separate -> Profile.prepare profile
+      | `Combined -> ())
+    (Profile.validate profile)
 
 let model_sweep_result ?(options = Interval_model.default_options) ?jobs
-    ?checkpoint ?resume ?checkpoint_every ?keep_going ?adjust ~profile configs =
-  match Profile.validate profile with
-  | Error ft -> Error ft
-  | Ok () ->
-    (* Build every config-independent StatStack structure once, before
-       the fan-out: the worker domains then only read the memo tables,
-       and the per-static-load lazies are already forced (a racing first
-       force would raise [Lazy.Undefined]). *)
-    (match options.combine with
-    | `Separate -> Profile.prepare profile
-    | `Combined -> ());
-    run_sweep ?jobs ?checkpoint ?resume ?checkpoint_every ?keep_going
-      ~workload:profile.Profile.p_workload
-      ~eval_point:(fun index config ->
-        let pred = Interval_model.predict ~options config profile in
-        let cycles = Option.map (fun f -> f config pred) adjust in
-        of_prediction ?cycles config ~index pred)
-      configs
+    ?checkpoint ?block_size ?keep_going ?adjust ~profile configs =
+  Result.bind (prepare ~options profile) (fun () ->
+      let configs = Array.of_list configs in
+      eval_points ?jobs ?checkpoint ?block_size ?keep_going
+        ~identity:(fun () ->
+          Printf.sprintf "model workload=%s profile=%s"
+            profile.Profile.p_workload (profile_digest profile))
+        ~evaluator:(fun () ->
+          staged_evaluator ~options ?adjust ~profile (Array.get configs))
+        configs)
 
-let sim_sweep_result ?jobs ?checkpoint ?resume ?checkpoint_every ?keep_going
-    ~spec ~seed ~n_instructions configs =
-  run_sweep ?jobs ?checkpoint ?resume ?checkpoint_every ?keep_going
-    ~workload:spec.Workload_spec.wname
-    ~eval_point:(fun index config ->
+let sim_sweep_result ?jobs ?checkpoint ?block_size ?keep_going ~spec ~seed
+    ~n_instructions configs =
+  let configs = Array.of_list configs in
+  eval_points ?jobs ?checkpoint ?block_size ?keep_going
+    ~identity:(fun () ->
+      Printf.sprintf "sim workload=%s inputs=%s" spec.Workload_spec.wname
+        (digest (spec, seed, n_instructions)))
+    ~evaluator:(fun () index ->
+      let config = configs.(index) in
       of_sim config ~index (Simulator.run config spec ~seed ~n_instructions))
     configs
 
-(* ---- Streaming engine ---- *)
+(* ---- Streaming consumer ----
 
-(* The per-point driver above keeps one result per point in memory and
-   checkpoints one record per point — fine at 10^3 points, fatal at
-   10^6.  The streaming engine instead walks the index range in fixed
-   [block_size] blocks; each block folds its points into a fixed-width
-   accumulator vector plus a local Pareto front and is then dropped, so
-   peak RSS and checkpoint size depend on the block count, never the
-   point count.
+   The per-point consumer holds one result per point — fine at 10^3
+   points, fatal at 10^6.  The streaming consumer folds each block into a
+   fixed-width accumulator vector plus a local Pareto front the moment it
+   completes and keeps only that, so peak RSS and checkpoint size depend
+   on the block count, never the point count.
 
-   Determinism: points within a block are evaluated sequentially in
-   index order; blocks within a group run in parallel but are recorded
-   (and merged) in ascending block order; all min/argmin updates use
-   strict [<], so the lowest index wins every tie.  The merged summary
-   is therefore a pure function of (range, block_size) — independent of
-   [jobs] and of where a kill-and-resume split the run (floats
-   round-trip the checkpoint as IEEE-754 bit patterns). *)
+   Determinism: blocks merge in ascending order, and all min/argmin
+   updates use strict [<], so the lowest index wins every tie.  The
+   merged summary is therefore a pure function of (range, block_size) —
+   independent of [jobs] and of where a kill-and-resume split the run. *)
 
 let stream_stats_width = 14
 
@@ -342,12 +467,21 @@ type stream_summary = {
   ss_sample_fault : Fault.t option;
 }
 
+(* What a streaming block keeps.  Only [sb_stats] and [sb_front] go to
+   the log; a restored block has no evals and no fault sample. *)
+type summary_block = {
+  sb_stats : float array;
+  sb_front : Pareto.point list;
+  sb_evals : eval list;  (* the evals of [sb_front] *)
+  sb_fault : Fault.t option;  (* the block's first fault *)
+}
+
 (* Evaluate points [start, stop) sequentially in index order, folding
-   them into a stats vector and a local Pareto front, whose evals the
-   block also returns.  Reuses [Parallel.map_result ~jobs:1] purely for
-   its exception-capture semantics, so a crashing point faults exactly as
-   in [run_generic]. *)
-let eval_block ~eval_point ~on_point ~start ~stop =
+   them into a stats vector and a local Pareto front.  Reuses
+   [Parallel.map_result ~jobs:1] purely for its exception-capture
+   semantics, so a crashing point faults exactly as in a per-point
+   sweep. *)
+let eval_summary_block ~eval_point ~on_point ~start ~stop =
   let stats = init_stats () in
   let first_fault = ref None in
   let oks = Array.make (stop - start) None in
@@ -386,20 +520,45 @@ let eval_block ~eval_point ~on_point ~start ~stop =
   let front =
     Pareto.frontier (pareto_points (List.filter_map Fun.id (Array.to_list oks)))
   in
-  ( stats,
-    List.map (fun (p : Pareto.point) -> (p.pt_id, p.pt_delay, p.pt_power)) front,
-    List.map (fun (p : Pareto.point) -> Option.get oks.(p.pt_id - start)) front,
-    !first_fault )
+  {
+    sb_stats = stats;
+    sb_front = front;
+    sb_evals =
+      List.map (fun (p : Pareto.point) -> Option.get oks.(p.pt_id - start)) front;
+    sb_fault = !first_fault;
+  }
 
-(* The evals of [evals] that lie on their own Pareto front.  Pruning the
-   carried front evals with it keeps every point of the final front: a
-   point on the front of all points is on the front of any subset holding
-   it (ties keep the lowest id either way). *)
-let on_front evals =
-  let front = Pareto.frontier (pareto_points evals) in
-  List.filter
-    (fun e -> List.exists (fun (p : Pareto.point) -> p.pt_id = e.sw_index) front)
-    evals
+(* One log item per block: the stats vector followed by the front as
+   (id, delay, power) triples; ids are exact as floats below 2^53. *)
+let encode_summary b =
+  [
+    Ok
+      (Array.append b.sb_stats
+         (Array.of_list
+            (List.concat_map
+               (fun (p : Pareto.point) ->
+                 [ float_of_int p.pt_id; p.pt_delay; p.pt_power ])
+               b.sb_front)));
+  ]
+
+let decode_summary ~start:_ ~count:_ = function
+  | [ Ok v ]
+    when Array.length v >= stream_stats_width
+         && (Array.length v - stream_stats_width) mod 3 = 0 ->
+    let at j = stream_stats_width + (3 * j) in
+    Some
+      {
+        sb_stats = Array.sub v 0 stream_stats_width;
+        sb_front =
+          List.init
+            ((Array.length v - stream_stats_width) / 3)
+            (fun j ->
+              { Pareto.pt_id = int_of_float v.(at j);
+                pt_delay = v.(at j + 1); pt_power = v.(at j + 2) });
+        sb_evals = [];
+        sb_fault = None;
+      }
+  | _ -> None
 
 let default_block_size = 4096
 
@@ -407,9 +566,8 @@ let default_block_size = 4096
    the re-derivation of resumed front points) gets a fresh one, so any
    state an evaluator keeps belongs to one block and the summary cannot
    depend on [jobs]. *)
-let stream ?(jobs = 1) ?checkpoint ?(block_size = default_block_size)
-    ?(keep_going = true) ?on_point ~workload ~n_points ?(offset = 0) ?length
-    ~evaluator () =
+let stream ?jobs ?checkpoint ?(block_size = default_block_size) ?keep_going
+    ?on_point ~identity ~n_points ?(offset = 0) ?length ~evaluator () =
   let length = match length with Some l -> l | None -> n_points - offset in
   if offset < 0 || length < 0 || offset > n_points - length then
     Error
@@ -420,252 +578,115 @@ let stream ?(jobs = 1) ?checkpoint ?(block_size = default_block_size)
     Error
       (Fault.bad_input ~context:"stream sweep"
          (Printf.sprintf "block size %d, must be >= 1" block_size))
-  else begin
-    let n_blocks =
-      if length = 0 then 0 else ((length - 1) / block_size) + 1
-    in
-    let blocks : Checkpoint.stream_block option array = Array.make (max 1 n_blocks) None in
-    let meta =
-      {
-        Checkpoint.sm_n_points = n_points;
-        sm_stats_width = stream_stats_width;
-        sm_block_size = block_size;
-        sm_offset = offset;
-        sm_length = length;
-        sm_workload = workload;
-      }
-    in
-    let ckpt =
-      match checkpoint with
-      | None -> Ok None
-      | Some path -> Result.map Option.some (Checkpoint.open_stream path ~meta)
-    in
-    match ckpt with
-    | Error ft -> Error ft
-    | Ok ckpt ->
-      let resumed = ref 0 in
-      Option.iter
-        (fun (_, existing) ->
-          List.iter
-            (fun (b : Checkpoint.stream_block) ->
-              if b.b_index >= 0 && b.b_index < n_blocks
-                 && blocks.(b.b_index) = None
-              then begin
-                blocks.(b.b_index) <- Some b;
-                incr resumed
-              end)
-            existing)
-        ckpt;
-      let ckpt_t = Option.map fst ckpt in
-      Fun.protect
-        ~finally:(fun () -> Option.iter Checkpoint.close ckpt_t)
-        (fun () ->
-          let pending =
-            List.filter (fun b -> blocks.(b) = None) (List.init n_blocks Fun.id)
-          in
-          (* One block per worker domain and one checkpoint append per
-             group: the loss window of a kill is at most [jobs] blocks. *)
-          let group_size = max 1 jobs in
-          let rec groups = function
-            | [] -> []
-            | l ->
-              let rec take k = function
-                | x :: rest when k > 0 ->
-                  let hd, tl = take (k - 1) rest in
-                  (x :: hd, tl)
-                | rest -> ([], rest)
-              in
-              let hd, tl = take group_size l in
-              hd :: groups tl
-          in
-          let stopped = ref false in
-          let skipped = ref 0 in
-          let evaluated = ref 0 in
-          let carried = ref [] in
-          let sample_fault = ref None in
-          List.iter
-            (fun group ->
-              if !stopped then skipped := !skipped + List.length group
-              else begin
-                let arr = Array.of_list group in
-                let out =
-                  Parallel.map_array ~jobs
-                    (fun b ->
-                      let start = offset + (b * block_size) in
-                      let stop = offset + min length ((b + 1) * block_size) in
-                      eval_block ~eval_point:(evaluator ()) ~on_point ~start
-                        ~stop)
-                    arr
-                in
-                carried :=
-                  on_front
-                    (Array.fold_left
-                       (fun acc (_, _, evals, _) -> acc @ evals)
-                       !carried out);
-                let recs =
-                  Array.to_list
-                    (Array.mapi
-                       (fun k (stats, front, _, ft) ->
-                         let b = arr.(k) in
-                         let blk =
-                           { Checkpoint.b_index = b; b_stats = stats;
-                             b_front = front }
-                         in
-                         blocks.(b) <- Some blk;
-                         incr evaluated;
-                         (match ft with
-                         | Some f when Option.is_none !sample_fault ->
-                           sample_fault := Some f
-                         | _ -> ());
-                         blk)
-                       out)
-                in
-                Option.iter
-                  (fun c -> Checkpoint.append_blocks c recs)
-                  ckpt_t;
-                if (not keep_going)
-                   && Array.exists
-                        (fun (stats, _, _, _) -> stats.(s_failed) > 0.0)
-                        out
-                then stopped := true
-              end)
-            (groups pending);
-          (* Merge in ascending block order: blocks cover consecutive
-             ascending index ranges, so strict [<] keeps the lowest
-             index across blocks exactly as it did within them. *)
-          let sums = init_stats () in
-          Array.iter
+  else
+    Result.map
+      (fun blocks ->
+        let count f = List.length (List.filter (fun (_, _, b) -> f b) blocks) in
+        let kept =
+          List.filter_map
             (function
-              | None -> ()
-              | Some (b : Checkpoint.stream_block) ->
-                let st = b.b_stats in
-                for k = s_ok to s_sum_ed2p do
-                  sums.(k) <- sums.(k) +. st.(k)
-                done;
-                let merge_min m a =
-                  if st.(m) < sums.(m) then begin
-                    sums.(m) <- st.(m);
-                    sums.(a) <- st.(a)
-                  end
-                in
-                merge_min s_min_seconds s_arg_seconds;
-                merge_min s_min_energy s_arg_energy;
-                merge_min s_min_ed2p s_arg_ed2p)
-            blocks;
-          let front =
-            Array.to_list blocks
-            |> List.concat_map (function
-                 | None -> []
-                 | Some (b : Checkpoint.stream_block) ->
-                   List.map
-                     (fun (id, d, p) ->
-                       { Pareto.pt_id = id; pt_delay = d; pt_power = p })
-                     b.b_front)
-            |> Pareto.frontier
-          in
-          (* Freshly evaluated blocks carried their front evals; only
-             points of resumed blocks are evaluated again. *)
-          let find id = List.find_opt (fun e -> e.sw_index = id) !carried in
-          let missing =
+              | _, _, (Restored b | Fresh b) -> Some b | _, _, Skipped -> None)
+            blocks
+        in
+        (* Merge in ascending block order: blocks cover consecutive
+           ascending index ranges, so strict [<] keeps the lowest index
+           across blocks exactly as it did within them. *)
+        let sums = init_stats () in
+        List.iter
+          (fun b ->
+            let st = b.sb_stats in
+            for k = s_ok to s_sum_ed2p do
+              sums.(k) <- sums.(k) +. st.(k)
+            done;
+            let merge_min m a =
+              if st.(m) < sums.(m) then begin
+                sums.(m) <- st.(m);
+                sums.(a) <- st.(a)
+              end
+            in
+            merge_min s_min_seconds s_arg_seconds;
+            merge_min s_min_energy s_arg_energy;
+            merge_min s_min_ed2p s_arg_ed2p)
+          kept;
+        let front = Pareto.frontier (List.concat_map (fun b -> b.sb_front) kept) in
+        (* Freshly evaluated blocks carried their front evals; only
+           points of restored blocks are evaluated again. *)
+        let carried = Hashtbl.create 64 in
+        List.iter
+          (fun b -> List.iter (fun e -> Hashtbl.replace carried e.sw_index e) b.sb_evals)
+          kept;
+        let missing =
+          List.filter_map
+            (fun (p : Pareto.point) ->
+              if Hashtbl.mem carried p.pt_id then None else Some p.pt_id)
+            front
+        in
+        List.iter2
+          (fun id r -> Result.iter (Hashtbl.replace carried id) r)
+          missing
+          (Parallel.map_result ~jobs:1 (evaluator ()) missing);
+        let best m a =
+          if sums.(a) < 0.0 then None else Some (int_of_float sums.(a), sums.(m))
+        in
+        {
+          ss_n_points = n_points;
+          ss_offset = offset;
+          ss_length = length;
+          ss_block_size = block_size;
+          ss_n_blocks = (if length = 0 then 0 else ((length - 1) / block_size) + 1);
+          ss_resumed_blocks = count (function Restored _ -> true | _ -> false);
+          ss_evaluated_blocks = count (function Fresh _ -> true | _ -> false);
+          ss_skipped_blocks = count (function Skipped -> true | _ -> false);
+          ss_ok = int_of_float sums.(s_ok);
+          ss_failed = int_of_float sums.(s_failed);
+          ss_sum_cpi = sums.(s_sum_cpi);
+          ss_sum_cycles = sums.(s_sum_cycles);
+          ss_sum_watts = sums.(s_sum_watts);
+          ss_sum_seconds = sums.(s_sum_seconds);
+          ss_sum_energy_j = sums.(s_sum_energy);
+          ss_sum_ed2p = sums.(s_sum_ed2p);
+          ss_best_seconds = best s_min_seconds s_arg_seconds;
+          ss_best_energy = best s_min_energy s_arg_energy;
+          ss_best_ed2p = best s_min_ed2p s_arg_ed2p;
+          ss_front = front;
+          ss_front_evals =
             List.filter_map
-              (fun (p : Pareto.point) ->
-                if find p.pt_id = None then Some p.pt_id else None)
-              front
-          in
-          let rederived =
-            List.combine missing
-              (Parallel.map_result ~jobs:1 (evaluator ()) missing)
-          in
-          let front_evals =
-            List.filter_map
-              (fun (p : Pareto.point) ->
-                match find p.pt_id with
-                | Some e -> Some e
-                | None -> Result.to_option (List.assoc p.pt_id rederived))
-              front
-          in
-          let best m a =
-            if sums.(a) < 0.0 then None
-            else Some (int_of_float sums.(a), sums.(m))
-          in
-          Ok
-            {
-              ss_n_points = n_points;
-              ss_offset = offset;
-              ss_length = length;
-              ss_block_size = block_size;
-              ss_n_blocks = n_blocks;
-              ss_resumed_blocks = !resumed;
-              ss_evaluated_blocks = !evaluated;
-              ss_skipped_blocks = !skipped;
-              ss_ok = int_of_float sums.(s_ok);
-              ss_failed = int_of_float sums.(s_failed);
-              ss_sum_cpi = sums.(s_sum_cpi);
-              ss_sum_cycles = sums.(s_sum_cycles);
-              ss_sum_watts = sums.(s_sum_watts);
-              ss_sum_seconds = sums.(s_sum_seconds);
-              ss_sum_energy_j = sums.(s_sum_energy);
-              ss_sum_ed2p = sums.(s_sum_ed2p);
-              ss_best_seconds = best s_min_seconds s_arg_seconds;
-              ss_best_energy = best s_min_energy s_arg_energy;
-              ss_best_ed2p = best s_min_ed2p s_arg_ed2p;
-              ss_front = front;
-              ss_front_evals = front_evals;
-              ss_sample_fault = !sample_fault;
-            })
-  end
+              (fun (p : Pareto.point) -> Hashtbl.find_opt carried p.pt_id)
+              front;
+          ss_sample_fault =
+            List.find_map
+              (function _, _, Fresh b -> b.sb_fault | _ -> None)
+              blocks;
+        })
+      (run_blocks ?jobs ?checkpoint ?keep_going
+         ~header:(fun () ->
+           Printf.sprintf "summary n=%d offset=%d length=%d block=%d %s"
+             n_points offset length block_size (identity ()))
+         ~offset ~length ~block_size
+         ~eval_block:(fun ~start ~stop ->
+           eval_summary_block ~eval_point:(evaluator ()) ~on_point ~start ~stop)
+         ~encode:encode_summary ~decode:decode_summary
+         ~failed:(fun b -> b.sb_stats.(s_failed) > 0.0)
+         ())
 
 let run_stream ?jobs ?checkpoint ?block_size ?keep_going ?on_point ~workload
     ~n_points ?offset ?length ~eval_point () =
-  stream ?jobs ?checkpoint ?block_size ?keep_going ?on_point ~workload
+  stream ?jobs ?checkpoint ?block_size ?keep_going ?on_point
+    ~identity:(fun () -> "workload=" ^ workload)
     ~n_points ?offset ?length ~evaluator:(fun () -> eval_point) ()
-
-(* The staged point evaluator: it keeps the last core-stage result and the
-   last prediction with the configs they were computed for, and reuses
-   them while the next point's stage inputs are structurally equal.  In
-   index order the inner axes of a space (memory, operating point) then
-   leave most points a [finish] or a copy away from their prediction.  A
-   reused prediction differs from the stored one only in [pr_uarch], which
-   is exactly what a fresh [predict] would give. *)
-let model_evaluator ?(options = Interval_model.default_options) ?adjust
-    ~profile space =
-  let last_core = ref None and last_pred = ref None in
-  fun index ->
-    let config = Config_space.config_of_index space index in
-    let pred =
-      match !last_pred with
-      | Some (u, pred) when Interval_model.same_inputs u config ->
-        { pred with Interval_model.pr_uarch = config.Uarch.name }
-      | _ ->
-        let core =
-          match !last_core with
-          | Some (u, core) when Interval_model.same_core_inputs u config -> core
-          | _ ->
-            let core = Interval_model.core_stage ~options config profile in
-            last_core := Some (config, core);
-            core
-        in
-        let pred = Interval_model.finish core config in
-        last_pred := Some (config, pred);
-        pred
-    in
-    let cycles = Option.map (fun f -> f config pred) adjust in
-    of_prediction ?cycles config ~index pred
 
 let model_sweep_stream ?(options = Interval_model.default_options) ?jobs
     ?checkpoint ?block_size ?keep_going ?on_point ?offset ?length ?adjust
     ~profile space =
-  match Profile.validate profile with
-  | Error ft -> Error ft
-  | Ok () ->
-    (match options.combine with
-    | `Separate -> Profile.prepare profile
-    | `Combined -> ());
-    stream ?jobs ?checkpoint ?block_size ?keep_going ?on_point
-      ~workload:profile.Profile.p_workload
-      ~n_points:(Config_space.size space) ?offset ?length
-      ~evaluator:(fun () -> model_evaluator ~options ?adjust ~profile space)
-      ()
+  Result.bind (prepare ~options profile) (fun () ->
+      stream ?jobs ?checkpoint ?block_size ?keep_going ?on_point
+        ~identity:(fun () ->
+          Printf.sprintf "model space=%s workload=%s profile=%s"
+            (Config_space.name space) profile.Profile.p_workload
+            (profile_digest profile))
+        ~n_points:(Config_space.size space) ?offset ?length
+        ~evaluator:(fun () -> model_evaluator ~options ?adjust ~profile space)
+        ())
 
 (* ---- Legacy raising interface ---- *)
 

@@ -34,41 +34,67 @@ val of_sim : Uarch.t -> index:int -> Sim_result.t -> eval
 
 type point_result = (eval, Fault.t) result
 
-type outcome = {
-  o_results : point_result list;
-      (** one per config, in config order, independent of [jobs] *)
+(** The outcome of a per-point sweep. *)
+type 'a run = {
+  o_results : ('a, Fault.t) result list;
+      (** one per point, in point order, independent of [jobs] *)
   o_ok : int;
   o_failed : int;  (** faulted plus (without keep-going) skipped points *)
-  o_resumed : int;  (** points restored from the resume checkpoint *)
+  o_resumed : int;  (** points restored from the checkpoint log *)
 }
+
+type outcome = eval run
 
 val check_numeric : eval -> (eval, Fault.t) result
 (** Reject an eval containing non-finite numbers as a per-point
     [Fault.numeric] — NaN silently corrupts Pareto fronts and argmin
     comparisons downstream. *)
 
-val default_checkpoint_every : int
-(** Points per checkpoint batch (64): small enough that a killed process
-    loses little work (each batch is written before the next starts),
-    cheap enough — writes are group-committed, fsync'd at most once per
-    second — to stay within a few percent of an uncheckpointed sweep. *)
+(** {1 The sweep engine}
 
-(** Outcome of a {!run_generic} evaluation: one result per point, in
-    point order, independent of [jobs]. *)
-type 'a run = {
-  run_results : ('a, Fault.t) result list;
-  run_ok : int;
-  run_failed : int;  (** faulted plus (without keep-going) skipped points *)
-  run_resumed : int;  (** points restored from the resume checkpoint *)
-}
+    Every sweep is one engine: it walks a range of point indices in
+    contiguous blocks, runs [jobs] blocks at a time (one per worker
+    domain, each evaluating its points sequentially in index order), and
+    with [?checkpoint] appends every completed group to a
+    {!Checkpoint} log, one record per block.  A point that raises or
+    fails its check is a per-point [Error]; every other point still
+    evaluates.  [keep_going] (default [true]) evaluates every point
+    regardless of faults; with [~keep_going:false] the sweep stops after
+    the group holding the first fault and marks the later points as
+    skipped (not logged, so a later resume still evaluates them).
 
-val run_generic :
+    [?checkpoint PATH] creates the log or resumes it.  The log's header
+    binds what is swept and over which inputs (workload, config list
+    digest or space name, profile digest or simulation inputs); a log
+    with any other header, or from an older format version, is refused
+    with a [Fault.Bad_input] before any work.  On resume the points the
+    log holds are restored and only the rest are evaluated, and the
+    result is bit-identical to an uninterrupted run: floats round-trip
+    through the log as raw IEEE-754 bit patterns.  A killed run loses at
+    most its in-flight group.  The header digest is computed only when
+    a checkpoint is given.
+
+    The outer [Error] is reserved for whole-sweep failures: an invalid
+    profile, a bad range or block size, an unreadable or mismatched
+    log.
+
+    Two consumers decide what a block keeps: the per-point sweeps below
+    keep every point's result; the streaming sweeps fold a block into a
+    fixed-width summary. *)
+
+(** {2 Per-point sweeps}
+
+    [?block_size] defaults to [max 1 (min 64 (ceil (n / jobs)))]: one
+    group of blocks fans out over every worker, and a kill loses at most
+    64 points per block.  The results do not depend on it, so a
+    per-point log resumes under any block size or [jobs]. *)
+
+val run_points :
   ?jobs:int ->
   ?checkpoint:string ->
-  ?resume:string ->
-  ?checkpoint_every:int ->
+  ?block_size:int ->
   ?keep_going:bool ->
-  workload:string ->
+  identity:(unit -> string) ->
   n_points:int ->
   width:int ->
   encode:('a -> float array) ->
@@ -77,62 +103,44 @@ val run_generic :
   eval_point:(int -> 'a) ->
   unit ->
   ('a run, Fault.t) result
-(** The fault-isolated, checkpointed, parallel engine underneath
-    {!model_sweep_result} / {!sim_sweep_result}, exposed for other
-    point-matrix evaluations (the model-vs-simulator validation harness
-    in [lib/validate] is built on it).
-
-    [eval_point i] evaluates point [i] of [n_points] — a raised
+(** The per-point engine underneath {!model_sweep_result} /
+    {!sim_sweep_result}, exposed for other point-matrix evaluations (the
+    model-vs-simulator validation harness in [lib/validate] is built on
+    it).  [eval_point i] evaluates point [i] of [n_points]; a raised
     exception or a value rejected by [check] becomes a per-point
-    [Error], never a dead run.  [encode]/[decode] round-trip a payload
-    through the width-[width] checkpoint vector; anything config-shaped
-    is reconstructed from the index by the caller's [decode].  Same
-    checkpoint/resume/keep-going semantics as the design sweeps, same
-    bit-identical resume guarantee. *)
+    [Error].  [encode]/[decode] round-trip a payload through a
+    width-[width] float vector of the log; anything config-shaped is
+    reconstructed from the index by [decode].  [identity ()] names the
+    evaluation and its inputs in the log header. *)
 
 val model_sweep_result :
   ?options:Interval_model.options ->
   ?jobs:int ->
   ?checkpoint:string ->
-  ?resume:string ->
-  ?checkpoint_every:int ->
+  ?block_size:int ->
   ?keep_going:bool ->
   ?adjust:(Uarch.t -> Interval_model.prediction -> float) ->
   profile:Profile.t ->
   Uarch.t list ->
   (outcome, Fault.t) result
-(** Fault-isolated analytical sweep.  The profile is first run through
-    {!Profile.validate} ([Error] on a corrupt profile, before any work);
-    config-independent StatStack structures are built once before the
-    evaluation fans out over [jobs] worker domains.
-
-    [?checkpoint] appends each evaluated batch (of [?checkpoint_every]
-    points, group-committed) to an append-only CRC-per-line log;
-    [?resume] reads
-    such a log (commonly the same path) and skips every point it already
-    holds.  A sweep killed mid-run and resumed produces results
-    bit-identical to an uninterrupted sequential run: floats round-trip
-    through the log as raw IEEE-754 bit patterns.
-
-    [keep_going] (default [true]) evaluates every point regardless of
-    individual faults.  With [~keep_going:false] the sweep stops at the
-    first batch containing a fault and marks the remaining points as
-    skipped ([Error], not written to the checkpoint, so a later resume
-    still evaluates them).
+(** Fault-isolated analytical sweep over a config list.  The profile is
+    first run through {!Profile.validate} ([Error] on a corrupt profile,
+    before any work); config-independent StatStack structures are built
+    once before the evaluation fans out.  Each block evaluates its points
+    with a fresh staged evaluator (as {!model_evaluator}), bit-identical
+    to a plain [Interval_model.predict] per point.  The log header binds
+    the workload, a digest of the config list and the MD5 of the
+    profile's binary form.
 
     [?adjust config pred] returns a corrected cycle count for the point
     (see {!of_prediction}); it must be deterministic and thread-safe —
     it runs on the worker domains, and checkpoints store adjusted
-    values, so resume an adjusted sweep only with the same adjustment.
-
-    The outer [Error] is reserved for whole-sweep failures: invalid
-    profile, unreadable/mismatched checkpoint. *)
+    values, so resume an adjusted sweep only with the same adjustment. *)
 
 val sim_sweep_result :
   ?jobs:int ->
   ?checkpoint:string ->
-  ?resume:string ->
-  ?checkpoint_every:int ->
+  ?block_size:int ->
   ?keep_going:bool ->
   spec:Workload_spec.t ->
   seed:int ->
@@ -140,25 +148,25 @@ val sim_sweep_result :
   Uarch.t list ->
   (outcome, Fault.t) result
 (** Detailed-simulation counterpart; each design point simulates the
-    workload from the same seed, so results are independent of [jobs]. *)
+    workload from the same seed, so results are independent of [jobs].
+    The log header binds the config list and (spec, seed,
+    [n_instructions]). *)
 
-(** {1 Streaming sweeps}
+(** {2 Streaming sweeps}
 
-    The per-point engine above holds one result per point — fine at a
-    few hundred points, fatal at a million.  The streaming engine walks
-    a (sub-)range of a generated {!Config_space.t} in fixed-size index
-    blocks, folds each block into a fixed-width accumulator vector plus
-    a local Pareto front, and drops it, so peak RSS and checkpoint size
-    scale with the block count, never the point count.
+    A per-point sweep holds one result per point — fine at a few hundred
+    points, fatal at a million.  A streaming sweep walks a (sub-)range of
+    a generated {!Config_space.t} and folds each block into a
+    fixed-width accumulator vector plus a local Pareto front, so peak
+    RSS and checkpoint size scale with the block count, never the point
+    count.
 
-    Points within a block evaluate sequentially in index order; blocks
-    run [jobs]-wide but are recorded and merged in ascending block
-    order, and every min/argmin tie resolves to the lowest index — the
-    summary is a pure function of (range, block size), independent of
-    [jobs] and bit-identical across a kill-and-resume. *)
-
-val stream_stats_width : int
-(** Floats per block accumulator vector (14). *)
+    Blocks merge in ascending order, and every min/argmin tie resolves
+    to the lowest index — the summary is a pure function of (range,
+    block size), independent of [jobs] and bit-identical across a
+    kill-and-resume.  Its float sums depend on the block size, so the
+    default is a fixed {!default_block_size}, never derived from [jobs],
+    and the log header binds the block size and the range. *)
 
 val default_block_size : int
 (** Points per streaming block (4096). *)
@@ -212,18 +220,13 @@ val run_stream :
     called once per point of every block this run evaluates, and again
     only for front points of resumed blocks (to rebuild [ss_front_evals]).
 
-    [?checkpoint] doubles as resume: the log is created if missing,
-    validated (byte-identical meta) and its completed blocks restored if
-    present, and each evaluated group of [jobs] blocks appended — a
-    killed run loses at most the in-flight group.
+    With [?checkpoint], the log header binds the workload name besides
+    the range and block size.
 
     [?on_point] observes every freshly evaluated point (called from the
     worker domains, in index order within each block; resumed blocks do
-    not replay).  [keep_going:false] lets the group containing the first
-    fault finish, then skips (and does not checkpoint) later blocks.
-
-    The outer [Error] is reserved for whole-sweep failures: a bad
-    sub-range or block size, or an unreadable/mismatched checkpoint. *)
+    not replay).  [keep_going], checkpointing and the outer [Error] are
+    those of the engine. *)
 
 val model_evaluator :
   ?options:Interval_model.options ->
@@ -267,7 +270,8 @@ val model_sweep_stream :
     the summary equals {!run_stream}'s with a plain per-point
     [Interval_model.predict] bit for bit, for any [jobs] and block size.
     Profile validation and StatStack preparation as in
-    {!model_sweep_result}. *)
+    {!model_sweep_result}.  The log header binds the space name, the
+    workload and the MD5 of the profile's binary form. *)
 
 val model_sweep :
   ?options:Interval_model.options ->

@@ -8,7 +8,7 @@ type stack = {
 
 let stack_total s = s.s_base +. s.s_branch +. s.s_icache +. s.s_llc_hit +. s.s_dram
 
-(* Same keyed representation as Interval_model.keyed_components, so a
+(* Same keyed representation as Interval_model.pr_components, so a
    model stack and a simulator stack diff by Cpi_stack.component. *)
 let keyed_stack s =
   Cpi_stack.of_values ~base:s.s_base ~branch:s.s_branch ~icache:s.s_icache

@@ -52,7 +52,7 @@ let strip_prefix ~prefix s =
 
 let of_line ~tag:tg message =
   match tg with
-  | "numeric" -> Some (Numeric message)
+  | "numeric" -> Some (Numeric (strip_prefix ~prefix:"non-finite result: " message))
   | "crash" -> Some (Worker_crash (Failure message, Printexc.get_callstack 0))
   | "bad-input" -> Some (Bad_input { context = "checkpoint"; line = None; message })
   | "timeout" -> Some (Timeout (strip_prefix ~prefix:"deadline exceeded: " message))

@@ -4,9 +4,9 @@
    matrix is evaluated by both engines — the analytical interval model
    on the profile, the cycle simulator on the regenerated stream — and
    the two keyed CPI stacks are diffed per Cpi_stack.component.  The
-   matrix evaluation is an instance of Sweep.run_generic, so it inherits
-   the sweep engine's parallel fan-out, per-point fault isolation and
-   bit-identical checkpoint/resume.
+   matrix evaluation is a per-point sweep (Sweep.run_points), so it
+   inherits the sweep engine's parallel fan-out, per-point fault
+   isolation and bit-identical checkpoint/resume.
 
    Error conventions: CPI errors are (model - sim) / sim, signed, so a
    positive error is model over-prediction.  Component errors are
@@ -187,12 +187,12 @@ let component_errors points =
     Cpi_stack.all
 
 let workload_report ?(stats = []) ~workload (r : point Sweep.run) =
-  let points = List.filter_map Result.to_option r.run_results in
+  let points = List.filter_map Result.to_option r.o_results in
   let faults =
     List.filter_map
       (fun (i, res) ->
         match res with Error ft -> Some (i, ft) | Ok _ -> None)
-      (List.mapi (fun i res -> (i, res)) r.run_results)
+      (List.mapi (fun i res -> (i, res)) r.o_results)
   in
   let errors = List.map signed_error points in
   let components = component_errors points in
@@ -208,10 +208,10 @@ let workload_report ?(stats = []) ~workload (r : point Sweep.run) =
   {
     wr_workload = workload;
     wr_stats = stats;
-    wr_n_points = List.length r.run_results;
+    wr_n_points = List.length r.o_results;
     wr_points = points;
     wr_faults = faults;
-    wr_resumed = r.run_resumed;
+    wr_resumed = r.o_resumed;
     wr_mean_signed = Stats.mean errors;
     wr_mape = Stats.mean_abs errors;
     wr_max_abs = (if errors = [] then 0.0 else Stats.max_abs errors);
@@ -295,7 +295,7 @@ type calibrator =
   Cpi_stack.t * float
 
 let run_workload ?(options = Interval_model.default_options) ?jobs ?checkpoint
-    ?resume ?checkpoint_every ?keep_going ?(seed = 1)
+    ?block_size ?keep_going ?(seed = 1)
     ?(n_instructions = default_n_instructions) ?calibrate ~spec configs =
   let configs_a = Array.of_list configs in
   let profile = Profiler.profile spec ~seed ~n_instructions in
@@ -307,8 +307,15 @@ let run_workload ?(options = Interval_model.default_options) ?jobs ?checkpoint
   | `Combined -> ());
   Result.map
     (workload_report ~stats ~workload:spec.Workload_spec.wname)
-    (Sweep.run_generic ?jobs ?checkpoint ?resume ?checkpoint_every ?keep_going
-       ~workload:spec.Workload_spec.wname
+    (Sweep.run_points ?jobs ?checkpoint ?block_size ?keep_going
+       ~identity:(fun () ->
+         Printf.sprintf "validate workload=%s inputs=%s"
+           spec.Workload_spec.wname
+           (Digest.to_hex
+              (Digest.string
+                 (Marshal.to_string
+                    (spec, seed, n_instructions, configs_a)
+                    [ No_sharing ]))))
        ~n_points:(Array.length configs_a) ~width:payload_width ~encode
        ~decode:(fun ~index v -> decode configs_a ~index v)
        ~check

@@ -9,7 +9,7 @@
     ({!Cpi_stack}) point by point, and aggregates per-workload and
     per-component error tables plus error-vs-parameter trends.
 
-    Evaluation rides on {!Sweep.run_generic}: points fan out over worker
+    Evaluation is a per-point sweep ({!Sweep.run_points}): points fan out over worker
     domains, a crashing or non-finite point degrades to a per-point
     {!Fault.t} instead of killing the run, and progress can be
     checkpointed and resumed bit-identically. *)
@@ -136,8 +136,7 @@ val run_workload :
   ?options:Interval_model.options ->
   ?jobs:int ->
   ?checkpoint:string ->
-  ?resume:string ->
-  ?checkpoint_every:int ->
+  ?block_size:int ->
   ?keep_going:bool ->
   ?seed:int ->
   ?n_instructions:int ->
@@ -146,12 +145,13 @@ val run_workload :
   Uarch.t list ->
   (workload_report, Fault.t) result
 (** Profile the workload once, then evaluate every config with both
-    engines under {!Sweep.run_generic}: [jobs]-way parallel,
-    fault-isolated per point, checkpointed/resumable via the same
-    CRC-per-line log as the design sweeps (payload width differs, so a
-    design-sweep log cannot be resumed as a validation log or vice
-    versa).  The outer [Error] is reserved for whole-run failures
-    (unreadable or mismatched checkpoint).
+    engines under {!Sweep.run_points}: [jobs]-way parallel,
+    fault-isolated per point, and with [?checkpoint] logged to (or
+    resumed from) the same CRC-per-line log as the design sweeps.  The
+    log header binds the workload, the config list, the seed and
+    [n_instructions], so a design-sweep log, or one from another
+    validation run, is refused.  The outer [Error] is reserved for
+    whole-run failures (unreadable or mismatched checkpoint).
 
     [?calibrate] replaces each point's model stack and CPI with the
     calibrated prediction before any error is computed, so the whole

@@ -271,7 +271,7 @@ let test_prediction_structure () =
   let pred = Interval_model.predict Uarch.reference p in
   Alcotest.(check bool) "cycles positive" true (pred.pr_cycles > 0.0);
   Alcotest.(check (float 1e-6)) "components sum to cycles" pred.pr_cycles
-    (Interval_model.components_total pred.pr_components);
+    (Cpi_stack.total pred.pr_components);
   Alcotest.(check bool) "cpi sane" true
     (Interval_model.cpi pred > 0.1 && Interval_model.cpi pred < 50.0);
   let l1, l2, l3 = pred.pr_load_misses in
@@ -286,7 +286,7 @@ let test_base_bounded_by_width () =
   let pred = Interval_model.predict Uarch.reference p in
   let min_base = pred.pr_uops /. float_of_int Uarch.reference.core.dispatch_width in
   Alcotest.(check bool) "base >= N/D" true
-    (pred.pr_components.c_base >= min_base -. 1e-6)
+    ((Cpi_stack.get pred.pr_components Base) >= min_base -. 1e-6)
 
 let test_ablation_ordering () =
   (* Each modeled component adds cycles: the full model predicts more than
@@ -298,19 +298,19 @@ let test_ablation_ordering () =
     Interval_model.predict ~options:{ opts with model_mlp = false } Uarch.reference p
   in
   Alcotest.(check bool) "no MLP serializes DRAM (Fig 4.3)" true
-    (no_mlp.pr_components.c_dram > full.pr_components.c_dram);
+    ((Cpi_stack.get no_mlp.pr_components Dram) > (Cpi_stack.get full.pr_components Dram));
   let no_ports =
     Interval_model.predict
       ~options:{ opts with use_port_contention = false }
       Uarch.reference p
   in
   Alcotest.(check bool) "port contention adds base cycles" true
-    (no_ports.pr_components.c_base <= full.pr_components.c_base +. 1e-6);
+    ((Cpi_stack.get no_ports.pr_components Base) <= (Cpi_stack.get full.pr_components Base) +. 1e-6);
   let insn =
     Interval_model.predict ~options:{ opts with use_uops = false } Uarch.reference p
   in
   Alcotest.(check bool) "instruction counting underestimates" true
-    (insn.pr_components.c_base < full.pr_components.c_base)
+    ((Cpi_stack.get insn.pr_components Base) < (Cpi_stack.get full.pr_components Base))
 
 let test_overrides_replace_inputs () =
   let p = profile_of "bzip2" 30_000 in
@@ -332,10 +332,10 @@ let test_overrides_replace_inputs () =
       Uarch.reference p
   in
   Alcotest.(check (float 1e-9)) "no branch cycles" 0.0
-    with_or.pr_components.c_branch;
-  Alcotest.(check (float 1e-9)) "no dram cycles" 0.0 with_or.pr_components.c_dram;
+    (Cpi_stack.get with_or.pr_components Branch);
+  Alcotest.(check (float 1e-9)) "no dram cycles" 0.0 (Cpi_stack.get with_or.pr_components Dram);
   Alcotest.(check (float 1e-9)) "no icache cycles" 0.0
-    with_or.pr_components.c_icache
+    (Cpi_stack.get with_or.pr_components Icache)
 
 let test_combined_mode_close_but_different () =
   let p = profile_of "gcc" 50_000 in
@@ -388,7 +388,7 @@ let test_prefetch_model_reduces_dram () =
   let without = Interval_model.predict Uarch.reference p in
   let with_pf = Interval_model.predict pf p in
   Alcotest.(check bool) "prefetcher lowers predicted DRAM time" true
-    (with_pf.pr_components.c_dram < without.pr_components.c_dram)
+    ((Cpi_stack.get with_pf.pr_components Dram) < (Cpi_stack.get without.pr_components Dram))
 
 let test_icache_component_formula () =
   (* With overridden per-instruction I-miss ratios the icache component is
@@ -416,7 +416,7 @@ let test_icache_component_formula () =
   in
   Alcotest.(check (float 1e-6)) "Eq 3.1 icache term"
     expected_per_instr
-    (pred.pr_components.c_icache /. pred.pr_instructions)
+    ((Cpi_stack.get pred.pr_components Icache) /. pred.pr_instructions)
 
 let test_icache_shadow_reduces_dram () =
   (* The same data-side misses cost fewer DRAM cycles when an I-cache
@@ -434,9 +434,9 @@ let test_icache_shadow_reduces_dram () =
   in
   let quiet = with_inst (0.0, 0.0, 0.0) in
   let noisy = with_inst (0.2, 0.1, 0.01) in
-  Alcotest.(check bool) "icache grows" true (noisy.c_icache > quiet.c_icache);
+  Alcotest.(check bool) "icache grows" true (Cpi_stack.get noisy Icache > Cpi_stack.get quiet Icache);
   Alcotest.(check bool) "dram shrinks under the shadow" true
-    (noisy.c_dram < quiet.c_dram)
+    (Cpi_stack.get noisy Dram < Cpi_stack.get quiet Dram)
 
 let test_measured_mlp_skips_double_penalties () =
   (* With ov_mlp the MSHR cap and bus queue must not re-apply: the DRAM
@@ -449,7 +449,7 @@ let test_measured_mlp_skips_double_penalties () =
         overrides = { Interval_model.no_overrides with ov_mlp = Some mlp };
       }
     in
-    (Interval_model.predict ~options:opts Uarch.reference p).pr_components.c_dram
+    Cpi_stack.get (Interval_model.predict ~options:opts Uarch.reference p).pr_components Dram
   in
   (* doubling the measured MLP at most halves the (floor-bounded) term *)
   Alcotest.(check bool) "monotone in measured MLP" true (dram 8.0 <= dram 4.0);

@@ -309,8 +309,8 @@ let test_sweep_legacy_raises_on_poison () =
   | _ -> Alcotest.fail "legacy interface must re-raise the original exception"
 
 let test_kill_and_resume_bit_identical () =
-  (* Simulate a mid-sweep kill: checkpoint a prefix with a small batch
-     size, corrupt the tail (torn write), then resume.  The combined
+  (* Simulate a mid-sweep kill: cut a real log after two 4-point blocks
+     plus a torn tail, then resume with another block size.  The combined
      results must equal the uninterrupted jobs:1 sweep bit for bit. *)
   let profile = Profiler.profile (Benchmarks.find "gcc") ~seed:1
       ~n_instructions:20_000 in
@@ -322,59 +322,80 @@ let test_kill_and_resume_bit_identical () =
       (Fault.or_raise (Sweep.model_sweep_result ~jobs:1 ~profile space))
   in
   with_temp_ckpt (fun path ->
-      (* phase 1: evaluate only the first 10 points, then "die" *)
-      let prefix = List.filteri (fun i _ -> i < 10) space in
-      let t =
-        Fault.or_raise
-          (Checkpoint.open_ path ~n_configs:(List.length space)
-             ~workload:profile.Profile.p_workload)
-      in
-      let prefix_outcome =
-        Fault.or_raise (Sweep.model_sweep_result ~jobs:1 ~profile prefix)
-      in
-      Checkpoint.append t
-        (List.map
-           (fun (e : Sweep.eval) ->
-             { Checkpoint.e_index = e.sw_index;
-               e_result =
-                 Ok
-                   { Checkpoint.nm_cpi = e.sw_cpi; nm_cycles = e.sw_cycles;
-                     nm_watts = e.sw_watts; nm_seconds = e.sw_seconds;
-                     nm_energy_j = e.sw_energy_j; nm_ed2p = e.sw_ed2p } })
-           (evals_of prefix_outcome));
-      Checkpoint.close t;
-      (* torn tail from the kill *)
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc "0bad0bad ok 10 0x1.2p3";
-      close_out oc;
+      (* phase 1: a checkpointed run, killed after its first 8 points *)
+      ignore
+        (Fault.or_raise
+           (Sweep.model_sweep_result ~jobs:1 ~checkpoint:path ~block_size:4
+              ~profile space));
+      Kill_log.after_records path 2;
       (* phase 2: resume *)
       let resumed =
         Fault.or_raise
-          (Sweep.model_sweep_result ~jobs:1 ~checkpoint:path ~resume:path
-             ~checkpoint_every:4 ~profile space)
+          (Sweep.model_sweep_result ~jobs:2 ~checkpoint:path ~block_size:5
+             ~profile space)
       in
-      Alcotest.(check int) "10 points restored" 10 resumed.o_resumed;
+      Alcotest.(check int) "8 points restored" 8 resumed.o_resumed;
       Alcotest.(check bool) "kill+resume bit-identical" true
         (compare uninterrupted (evals_of resumed) = 0);
       (* resuming again evaluates nothing new and still agrees *)
       let all_cached =
-        Fault.or_raise (Sweep.model_sweep_result ~jobs:1 ~resume:path ~profile space)
+        Fault.or_raise
+          (Sweep.model_sweep_result ~jobs:1 ~checkpoint:path ~profile space)
       in
       Alcotest.(check int) "everything restored" (List.length space)
         all_cached.o_resumed;
       Alcotest.(check bool) "fully cached run identical" true
         (compare uninterrupted (evals_of all_cached) = 0))
 
+let refused = function
+  | Error (Fault.Bad_input _) -> ()
+  | Error ft -> Alcotest.failf "wrong fault: %s" (Fault.to_string ft)
+  | Ok _ -> Alcotest.fail "resumed from a mismatched checkpoint"
+
 let test_resume_rejects_other_sweep () =
   let profile = Profiler.profile (Benchmarks.find "gcc") ~seed:1
       ~n_instructions:20_000 in
+  let mcf = Profiler.profile (Benchmarks.find "mcf") ~seed:1
+      ~n_instructions:20_000 in
   with_temp_ckpt (fun path ->
-      let t = Fault.or_raise (Checkpoint.open_ path ~n_configs:7 ~workload:"mcf") in
-      Checkpoint.close t;
-      match Sweep.model_sweep_result ~resume:path ~profile mini_space with
-      | Error (Fault.Bad_input _) -> ()
-      | Error ft -> Alcotest.failf "wrong fault: %s" (Fault.to_string ft)
-      | Ok _ -> Alcotest.fail "resumed from a mismatched checkpoint")
+      ignore
+        (Fault.or_raise
+           (Sweep.model_sweep_result ~checkpoint:path ~profile:mcf mini_space));
+      refused (Sweep.model_sweep_result ~checkpoint:path ~profile mini_space);
+      (* another config list, or a simulation sweep, of the same workload *)
+      with_temp_ckpt (fun path ->
+          ignore
+            (Fault.or_raise
+               (Sweep.model_sweep_result ~checkpoint:path ~profile mini_space));
+          refused
+            (Sweep.model_sweep_result ~checkpoint:path ~profile
+               (List.rev mini_space));
+          refused
+            (Sweep.sim_sweep_result ~checkpoint:path
+               ~spec:(Benchmarks.find "gcc") ~seed:1 ~n_instructions:20_000
+               mini_space)))
+
+let test_resume_rejects_other_profile () =
+  (* The same workload profiled over a different instruction count is a
+     different evaluation: its log must be refused, not resumed with
+     stale results — for per-point and streaming sweeps alike. *)
+  let profile n =
+    Profiler.profile (Benchmarks.find "gcc") ~seed:1 ~n_instructions:n
+  in
+  let p20 = profile 20_000 and p30 = profile 30_000 in
+  with_temp_ckpt (fun path ->
+      ignore
+        (Fault.or_raise
+           (Sweep.model_sweep_result ~checkpoint:path ~profile:p20 mini_space));
+      refused (Sweep.model_sweep_result ~checkpoint:path ~profile:p30 mini_space));
+  with_temp_ckpt (fun path ->
+      ignore
+        (Fault.or_raise
+           (Sweep.model_sweep_stream ~checkpoint:path ~length:40 ~profile:p20
+              Config_space.default));
+      refused
+        (Sweep.model_sweep_stream ~checkpoint:path ~length:40 ~profile:p30
+           Config_space.default))
 
 let test_sweep_rejects_invalid_profile () =
   let profile = Profiler.profile (Benchmarks.find "gcc") ~seed:1
@@ -389,10 +410,10 @@ let test_stop_on_first_fault_without_keep_going () =
   let profile = Profiler.profile (Benchmarks.find "gcc") ~seed:1
       ~n_instructions:20_000 in
   let poisoned = Uarch.with_rob Uarch.reference 0 in
-  (* batch size 1 so the stop takes effect before the healthy tail *)
+  (* block size 1 so the stop takes effect before the healthy tail *)
   let outcome =
     Fault.or_raise
-      (Sweep.model_sweep_result ~keep_going:false ~checkpoint_every:1 ~profile
+      (Sweep.model_sweep_result ~keep_going:false ~block_size:1 ~profile
          [ poisoned; Uarch.reference; Uarch.low_power ])
   in
   Alcotest.(check int) "nothing after the fault" 0 outcome.o_ok;
@@ -477,6 +498,8 @@ let () =
             test_kill_and_resume_bit_identical;
           Alcotest.test_case "resume rejects other sweep" `Quick
             test_resume_rejects_other_sweep;
+          Alcotest.test_case "resume rejects other profile" `Quick
+            test_resume_rejects_other_profile;
           Alcotest.test_case "invalid profile rejected" `Quick
             test_sweep_rejects_invalid_profile;
           Alcotest.test_case "stop without keep-going" `Quick

@@ -117,76 +117,126 @@ let with_temp f =
   let path = Filename.temp_file "mipp" ".ckpt" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
-let numbers i =
-  { Checkpoint.nm_cpi = 1.0 +. (0.125 *. float_of_int i);
-    nm_cycles = float_of_int (1000 * i);
-    nm_watts = 3.5;
-    nm_seconds = 1e-6;
-    nm_energy_j = 1e-5;
-    nm_ed2p = 1e-17 }
+let record start items =
+  { Checkpoint.r_start = start; r_count = List.length items; r_items = items }
+
+let vec i = [| 1.0 +. (0.125 *. float_of_int i); float_of_int (1000 * i); 3.5; 1e-6 |]
+
+let open_exn path header = Fault.or_raise (Checkpoint.open_ path ~header)
+
+let check_records expected got =
+  Alcotest.(check int) "records" (List.length expected) (List.length got);
+  List.iter2
+    (fun (a : Checkpoint.record) (b : Checkpoint.record) ->
+      Alcotest.(check (pair int int)) "range" (a.r_start, a.r_count)
+        (b.r_start, b.r_count);
+      List.iter2
+        (fun x y ->
+          match (x, y) with
+          | Ok x, Ok y ->
+            (* raw-bits floats round-trip bit-exactly, NaN included *)
+            Alcotest.(check (array int64)) "floats identical"
+              (Array.map Int64.bits_of_float x) (Array.map Int64.bits_of_float y)
+          | Error (Fault.Bad_input _ as x), Error y ->
+            (* the context is not logged *)
+            Alcotest.(check string) "fault tag" (Fault.tag x) (Fault.tag y)
+          | Error x, Error y ->
+            Alcotest.(check string) "fault" (Fault.to_line x) (Fault.to_line y)
+          | _ -> Alcotest.fail "Ok/Error mismatch")
+        a.r_items b.r_items)
+    expected got
 
 let test_checkpoint_roundtrip () =
   with_temp (fun path ->
       Sys.remove path;
-      let entries =
-        [ { Checkpoint.e_index = 0; e_result = Ok (numbers 0) };
-          { Checkpoint.e_index = 1;
-            e_result = Error (Fault.numeric "non-finite watts") };
-          { Checkpoint.e_index = 2; e_result = Ok (numbers 2) } ]
+      let records =
+        [ record 0 [ Ok (vec 0); Error (Fault.numeric "non-finite watts"); Ok [| Float.nan; infinity |] ];
+          record 3 [ Ok [||] ];
+          record 4 [ Error (Fault.numeric "two  spaces, no newline");
+                     Error (Fault.bad_input ~context:"x" "bad") ] ]
       in
-      let t = Fault.or_raise (Checkpoint.open_ path ~n_configs:5 ~workload:"gcc") in
-      Checkpoint.append t entries;
+      let t, restored = open_exn path "points n=5 workload=gcc" in
+      Alcotest.(check int) "fresh log" 0 (List.length restored);
+      Checkpoint.append t records;
       Checkpoint.close t;
-      match Checkpoint.load path with
-      | Error ft -> Alcotest.failf "load failed: %s" (Fault.to_string ft)
-      | Ok (n, w, back) ->
-        Alcotest.(check int) "n_configs" 5 n;
-        Alcotest.(check string) "workload" "gcc" w;
-        Alcotest.(check int) "entries" 3 (List.length back);
-        List.iter2
-          (fun (a : Checkpoint.entry) (b : Checkpoint.entry) ->
-            Alcotest.(check int) "index" a.e_index b.e_index;
-            match (a.e_result, b.e_result) with
-            | Ok x, Ok y ->
-              (* hex floats round-trip bit-exactly *)
-              Alcotest.(check bool) "numbers identical" true (x = y)
-            | Error x, Error y ->
-              Alcotest.(check string) "fault tag" (Fault.tag x) (Fault.tag y)
-            | _ -> Alcotest.fail "Ok/Error mismatch")
-          entries back)
+      let t, back = open_exn path "points n=5 workload=gcc" in
+      Checkpoint.close t;
+      check_records records back)
 
 let test_checkpoint_torn_tail () =
   with_temp (fun path ->
       Sys.remove path;
-      let t = Fault.or_raise (Checkpoint.open_ path ~n_configs:4 ~workload:"mcf") in
-      Checkpoint.append t
-        [ { Checkpoint.e_index = 0; e_result = Ok (numbers 0) };
-          { Checkpoint.e_index = 1; e_result = Ok (numbers 1) } ];
+      let header = "points n=4 workload=mcf" in
+      let t, _ = open_exn path header in
+      Checkpoint.append t [ record 0 [ Ok (vec 0) ]; record 1 [ Ok (vec 1) ] ];
       Checkpoint.close t;
       (* simulate a kill mid-append: half a record, bad CRC *)
       let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc "deadbeef ok 2 0x1.8p0 0x1.8";
+      output_string oc "deadbeef 2 1 ok 4 3ff8";
       close_out oc;
-      (match Checkpoint.load path with
-      | Error ft -> Alcotest.failf "torn tail broke load: %s" (Fault.to_string ft)
-      | Ok (_, _, entries) ->
-        Alcotest.(check (list int)) "torn record dropped" [ 0; 1 ]
-          (List.map (fun (e : Checkpoint.entry) -> e.e_index) entries));
-      (* reopening for append after the torn tail still works *)
-      let t = Fault.or_raise (Checkpoint.open_ path ~n_configs:4 ~workload:"mcf") in
-      Checkpoint.close t)
+      let t, back = open_exn path header in
+      check_records [ record 0 [ Ok (vec 0) ]; record 1 [ Ok (vec 1) ] ] back;
+      (* the torn tail was truncated away: a new record lands on a fresh
+         line and survives the next open *)
+      Checkpoint.append t [ record 2 [ Ok (vec 2) ] ];
+      Checkpoint.close t;
+      let t, back = open_exn path header in
+      Checkpoint.close t;
+      Alcotest.(check (list int)) "appended after the torn tail" [ 0; 1; 2 ]
+        (List.map (fun (r : Checkpoint.record) -> r.r_start) back))
 
 let test_checkpoint_header_mismatch () =
   with_temp (fun path ->
       Sys.remove path;
-      let t = Fault.or_raise (Checkpoint.open_ path ~n_configs:3 ~workload:"gcc") in
+      let t, _ = open_exn path "points n=3 workload=gcc" in
       Checkpoint.close t;
-      match Checkpoint.open_ path ~n_configs:7 ~workload:"gcc" with
-      | Ok t ->
+      match Checkpoint.open_ path ~header:"points n=7 workload=gcc" with
+      | Ok (t, _) ->
         Checkpoint.close t;
         Alcotest.fail "accepted a checkpoint from a different sweep"
-      | Error (Fault.Bad_input _) -> ()
+      | Error (Fault.Bad_input { message; _ }) ->
+        Alcotest.(check bool) "header mismatch diagnostic" true
+          (String.length message >= 15
+          && String.sub message 0 15 = "header mismatch")
       | Error ft -> Alcotest.failf "wrong fault: %s" (Fault.to_string ft))
+
+let test_checkpoint_empty_file_is_fresh () =
+  (* A file touched in advance is a fresh log, not a corrupt one. *)
+  with_temp (fun path ->
+      let t, restored = open_exn path "points n=2 workload=gcc" in
+      Checkpoint.append t [ record 0 [ Ok (vec 0) ] ];
+      Checkpoint.close t;
+      Alcotest.(check int) "nothing restored" 0 (List.length restored);
+      let t, back = open_exn path "points n=2 workload=gcc" in
+      Checkpoint.close t;
+      check_records [ record 0 [ Ok (vec 0) ] ] back)
+
+let framed payload = Crc32.to_hex (Crc32.string payload) ^ " " ^ payload ^ "\n"
+
+let test_checkpoint_old_versions_refused () =
+  (* Well-formed logs of the older per-point (v2) and per-block streaming
+     (v3) formats: their headers bind no evaluation inputs, so they are
+     refused rather than resumed. *)
+  List.iter
+    (fun (header, line) ->
+      with_temp (fun path ->
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc (framed header);
+              output_string oc (framed line));
+          match Checkpoint.open_ path ~header:"points n=243 workload=gcc" with
+          | Ok (t, _) ->
+            Checkpoint.close t;
+            Alcotest.failf "accepted an old log (%s)" header
+          | Error (Fault.Bad_input { message; _ }) ->
+            Alcotest.(check bool) "says the format is unsupported" true
+              (String.length message >= 11
+              && String.sub message 0 11 = "unsupported");
+            (* refused, not rewritten *)
+            Alcotest.(check int) "file untouched" 2 (Kill_log.n_records path + 1)
+          | Error ft -> Alcotest.failf "wrong fault: %s" (Fault.to_string ft)))
+    [ ("header 2 243 6 gcc", "ok 0 3ff0000000000000 3ff0000000000000 \
+        3ff0000000000000 3ff0000000000000 3ff0000000000000 3ff0000000000000");
+      ("header 3 243 14 4096 0 243 gcc", "blk 0 0") ]
 
 let () =
   Alcotest.run "fault"
@@ -215,5 +265,9 @@ let () =
           Alcotest.test_case "torn tail tolerated" `Quick test_checkpoint_torn_tail;
           Alcotest.test_case "header mismatch refused" `Quick
             test_checkpoint_header_mismatch;
+          Alcotest.test_case "empty file is a fresh log" `Quick
+            test_checkpoint_empty_file_is_fresh;
+          Alcotest.test_case "v2 and v3 logs refused" `Quick
+            test_checkpoint_old_versions_refused;
         ] );
     ]

@@ -165,10 +165,7 @@ let prop_kill_and_resume_bit_identical =
           (* Kill: truncate the log at a random byte cursor (possibly
              mid-record: the CRC framing must drop only the torn tail),
              then resume with a different jobs count. *)
-          let len = (Unix.stat path).Unix.st_size in
-          let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
-          Unix.ftruncate fd (int_of_float (float_of_int len *. cut));
-          Unix.close fd;
+          Kill_log.at_fraction path cut;
           let s2 = run ~jobs:4 () in
           strip s1 = strip s2))
 
@@ -469,10 +466,7 @@ let test_resumed_front_evals_bit_identical () =
       ignore (run ~checkpoint:path ~jobs:1 ());
       (* Kill: keep the first half of the log, so the resumed run restores
          some blocks and evaluates the rest. *)
-      let len = (Unix.stat path).Unix.st_size in
-      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
-      Unix.ftruncate fd (len / 2);
-      Unix.close fd;
+      Kill_log.at_fraction path 0.5;
       let resumed = run ~checkpoint:path ~jobs:2 () in
       Alcotest.(check bool) "some blocks resumed" true
         (resumed.Sweep.ss_resumed_blocks > 0);
@@ -483,6 +477,66 @@ let test_resumed_front_evals_bit_identical () =
         (List.length resumed.ss_front_evals);
       Alcotest.(check bool) "front evals bit-identical" true
         (bit_identical whole.ss_front_evals resumed.ss_front_evals))
+
+(* ---- per-point sweeps ---- *)
+
+(* The three per-point consumers of the engine (model, sim, validate),
+   each reduced to its Marshal image (with the resume count zeroed) and
+   that count. *)
+let per_point_sweeps =
+  lazy
+    (let profile = Lazy.force profile_gcc in
+     let spec = Benchmarks.find "gcc" in
+     let configs = List.filteri (fun i _ -> i mod 17 = 0) Uarch.design_space in
+     let outcome = function
+       | Ok (o : Sweep.outcome) ->
+         (Marshal.to_string { o with o_resumed = 0 } [], o.o_resumed)
+       | Error ft -> Alcotest.failf "sweep: %s" (Fault.to_string ft)
+     in
+     [
+       (fun ~jobs ?checkpoint () ->
+         outcome (Sweep.model_sweep_result ~jobs ?checkpoint ~profile configs));
+       (fun ~jobs ?checkpoint () ->
+         outcome
+           (Sweep.sim_sweep_result ~jobs ?checkpoint ~spec ~seed:1
+              ~n_instructions:4_000
+              (List.filteri (fun i _ -> i < 5) configs)));
+       (fun ~jobs ?checkpoint () ->
+         match
+           Validate.run_workload ~jobs ?checkpoint ~n_instructions:6_000 ~spec
+             (Validate.matrix_configs `Quick)
+         with
+         | Ok wr ->
+           (Marshal.to_string { wr with Validate.wr_resumed = 0 } [],
+            wr.wr_resumed)
+         | Error ft -> Alcotest.failf "validate: %s" (Fault.to_string ft));
+     ])
+
+let prop_points_jobs_and_resume_invariant =
+  QCheck.Test.make
+    ~name:
+      "per-point sweeps Marshal-identical for jobs 1/2/4 and after a \
+       kill-and-resume at a random record" ~count:9
+    QCheck.(
+      quad (int_range 0 2) (oneofl [ 1; 2; 4 ]) (oneofl [ 1; 2; 4 ])
+        (int_range 0 12))
+    (fun (case, jobs_killed, jobs_resumed, kept) ->
+      let run = List.nth (Lazy.force per_point_sweeps) case in
+      let reference, _ = run ~jobs:1 () in
+      let path = Filename.temp_file "points_resume" ".ckpt" in
+      Sys.remove path;
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+        (fun () ->
+          let logged, _ = run ~jobs:jobs_killed ~checkpoint:path () in
+          (* Kill after [kept] records plus a torn tail, then resume
+             under another jobs count, hence another block size. *)
+          let kept = kept mod (Kill_log.n_records path + 1) in
+          Kill_log.after_records path kept;
+          let resumed, n_resumed = run ~jobs:jobs_resumed ~checkpoint:path () in
+          List.for_all (fun jobs -> fst (run ~jobs ()) = reference) [ 2; 4 ]
+          && logged = reference && resumed = reference
+          && (n_resumed > 0) = (kept > 0)))
 
 (* ---- subset quality and refinement ---- *)
 
@@ -566,6 +620,10 @@ let () =
             test_fresh_run_stream_evaluates_each_point_once;
           Alcotest.test_case "resumed front evals bit-identical" `Quick
             test_resumed_front_evals_bit_identical;
+        ] );
+      ( "points",
+        [
+          QCheck_alcotest.to_alcotest prop_points_jobs_and_resume_invariant;
         ] );
       ( "refine",
         [

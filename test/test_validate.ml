@@ -253,27 +253,28 @@ let prop_vec_checkpoint_roundtrip =
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
           Sys.remove path;
-          let t =
-            Result.get_ok
-              (Checkpoint.open_vec path ~n_configs:n ~width ~workload:"prop")
-          in
-          Checkpoint.append_vec t
-            (List.mapi
-               (fun i row -> { Checkpoint.v_index = i; v_result = Ok row })
-               rows);
+          let header = Printf.sprintf "points n=%d width=%d" n width in
+          let t, _ = Result.get_ok (Checkpoint.open_ path ~header) in
+          Checkpoint.append t
+            [ { Checkpoint.r_start = 0; r_count = n;
+                r_items = List.map (fun row -> Ok row) rows } ];
           Checkpoint.close t;
-          match Checkpoint.load_vec path with
+          match Checkpoint.open_ path ~header with
           | Error _ -> false
-          | Ok (n', w', wl, entries) ->
+          | Ok (t, records) -> (
+            Checkpoint.close t;
             let bits = Array.map Int64.bits_of_float in
-            n' = n && w' = width && wl = "prop"
-            && List.length entries = n
-            && List.for_all2
-                 (fun (e : Checkpoint.vec_entry) row ->
-                   match e.v_result with
-                   | Ok v -> bits v = bits row
-                   | Error _ -> false)
-                 entries rows))
+            match records with
+            | [ { r_start = 0; r_count; r_items } ] ->
+              r_count = n
+              && List.length r_items = n
+              && List.for_all2
+                   (fun item row ->
+                     match item with
+                     | Ok v -> bits v = bits row
+                     | Error _ -> false)
+                   r_items rows
+            | _ -> false)))
 
 (* ---- Harness unit tests ---- *)
 
@@ -294,9 +295,9 @@ let test_matrix_sizes () =
     "unknown matrix rejected" true
     (Result.is_error (Validate.matrix_of_string "enormous"))
 
-let run_quick ?checkpoint ?resume () =
+let run_quick ?checkpoint () =
   Result.get_ok
-    (Validate.run_workload ?checkpoint ?resume ~jobs:2 ~n_instructions:8_000
+    (Validate.run_workload ?checkpoint ~jobs:2 ~n_instructions:8_000
        ~spec:(Benchmarks.find "gcc")
        (Validate.matrix_configs `Quick))
 
@@ -316,7 +317,7 @@ let test_checkpoint_resume_identical () =
       Sys.remove path;
       let direct = run_quick () in
       let checkpointed = run_quick ~checkpoint:path () in
-      let resumed = run_quick ~resume:path () in
+      let resumed = run_quick ~checkpoint:path () in
       Alcotest.(check int)
         "all restored from log" 9 resumed.Validate.wr_resumed;
       List.iter
