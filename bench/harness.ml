@@ -151,3 +151,39 @@ let pearson xs ys =
   in
   let sx = Stats.stdev xs and sy = Stats.stdev ys in
   if sx = 0.0 || sy = 0.0 then 1.0 else cov /. (sx *. sy)
+
+(* ---- Timing and reports ---- *)
+
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let git_commit () =
+  match Unix.open_process_in "git rev-parse HEAD 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic ->
+    let line = In_channel.input_line ic in
+    (match (Unix.close_process_in ic, line) with
+    | Unix.WEXITED 0, Some commit when commit <> "" -> commit
+    | _ -> "unknown")
+
+(* Where and when a BENCH file was measured, so reports from different
+   commits and machines can be told apart. *)
+let provenance () =
+  let t = Unix.gmtime (Unix.time ()) in
+  Minijson.Obj
+    [
+      ("commit", Str (git_commit ()));
+      ( "date_utc",
+        Str
+          (Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.tm_year + 1900)
+             (t.tm_mon + 1) t.tm_mday t.tm_hour t.tm_min t.tm_sec) );
+      ("cores", Minijson.int (Domain.recommended_domain_count ()));
+      ("ocaml_version", Str Sys.ocaml_version);
+    ]
+
+let write_report file members =
+  Fault.or_raise
+    (Minijson.save file (Obj (("provenance", provenance ()) :: members)));
+  print_endline ("wrote " ^ file)

@@ -460,7 +460,7 @@ let fig5_6 () =
          (fun b ->
            let r = Harness.sim b in
            let instr = float_of_int r.r_instructions in
-           let branch = r.r_stack.s_branch /. instr in
+           let branch = Cpi_stack.get r.r_stack Cpi_stack.Branch /. instr in
            let total = Sim_result.cpi r in
            [
              b;
@@ -498,7 +498,7 @@ let fig6_1 () =
              "" :: "sim" :: Table.fmt_f (Sim_result.cpi sim)
              :: List.map
                   (fun (_, v) -> Table.fmt_f (v /. si))
-                  (Sim_result.stack_components sim.r_stack);
+                  (Cpi_stack.labeled_alist sim.r_stack);
            ])
          benchmarks);
   Printf.printf "average absolute CPI error: %s (paper: 7.6%%)\n"
@@ -1275,16 +1275,11 @@ let dse_sweep () =
     Profiler.profile (Benchmarks.find bench) ~seed:Harness.seed
       ~n_instructions:Harness.n_space
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* Seed behavior: every predict call rebuilt the survival structures
      from the reuse histograms.  Reproduced by dropping the memo before
      each evaluation. *)
   let (_ : unit), rebuild_s =
-    time (fun () ->
+    Harness.time (fun () ->
         List.iter
           (fun u ->
             Profile.clear_stack_memo ();
@@ -1293,7 +1288,9 @@ let dse_sweep () =
   in
   Profile.clear_stack_memo ();
   let c0 = Statstack.construction_count () in
-  let seq, seq_s = time (fun () -> Sweep.model_sweep ~options ~jobs:1 ~profile configs) in
+  let seq, seq_s =
+    Harness.time (fun () -> Sweep.model_sweep ~options ~jobs:1 ~profile configs)
+  in
   let built_seq = Statstack.construction_count () - c0 in
   Profile.clear_stack_memo ();
   (* Clamp to the cores actually available.  On a single-core box the
@@ -1302,7 +1299,13 @@ let dse_sweep () =
      noise dressed up as a result — skip the run and report null. *)
   let jobs_requested = 4 in
   let jobs = Harness.effective_jobs jobs_requested in
-  let par = if jobs > 1 then Some (time (fun () -> Sweep.model_sweep ~options ~jobs ~profile configs)) else None in
+  let par =
+    if jobs > 1 then
+      Some
+        (Harness.time (fun () ->
+             Sweep.model_sweep ~options ~jobs ~profile configs))
+    else None
+  in
   let identical =
     match par with
     | Some (par, _) -> List.for_all2 (fun a b -> compare a b = 0) seq par
@@ -1347,7 +1350,7 @@ let dse_sweep () =
     | Ok s -> s
     | Error ft -> failwith (Fault.to_string ft)
   in
-  let s_cold, stream_s = time (fun () -> run_stream ()) in
+  let s_cold, stream_s = Harness.time (fun () -> run_stream ()) in
   let stream_pps = float_of_int stream_points /. stream_s in
   (* Kill-and-resume bit-identity on the same range: checkpoint, truncate
      the log to 60% (a mid-write crash), resume, compare summaries. *)
@@ -1401,153 +1404,45 @@ let dse_sweep () =
         [ "peak RSS (MB)"; Table.fmt_f ~decimals:1 peak_rss_mb ];
       ];
   (* Machine-readable trajectory for future PRs. *)
-  let oc = open_out "BENCH_sweep.json" in
-  let json_f = Printf.sprintf "%.1f" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": %S,\n\
-    \  \"configs\": %d,\n\
-    \  \"jobs_requested\": %d,\n\
-    \  \"jobs_effective\": %d,\n\
-    \  \"cores_available\": %d,\n\
-    \  \"rebuild_seconds\": %.6f,\n\
-    \  \"seq_seconds\": %.6f,\n\
-    \  \"par_seconds\": %s,\n\
-    \  \"points_per_sec_seq\": %.1f,\n\
-    \  \"points_per_sec_par\": %s,\n\
-    \  \"memo_speedup\": %.3f,\n\
-    \  \"parallel_speedup\": %s,\n\
-    \  \"bit_identical\": %b,\n\
-    \  \"stacks_built_per_sweep\": %d,\n\
-    \  \"stream_space\": %S,\n\
-    \  \"stream_points\": %d,\n\
-    \  \"stream_block_size\": %d,\n\
-    \  \"stream_seconds\": %.6f,\n\
-    \  \"stream_points_per_sec\": %.1f,\n\
-    \  \"stream_front_points\": %d,\n\
-    \  \"stream_resume_identical\": %b,\n\
-    \  \"peak_rss_mb\": %.1f\n\
-     }\n"
-    bench n_configs jobs_requested jobs
-    (Domain.recommended_domain_count ())
-    rebuild_s seq_s
-    (match par with Some (_, s) -> Printf.sprintf "%.6f" s | None -> "null")
-    (pps seq_s)
-    (match par with Some (_, s) -> json_f (pps s) | None -> "null")
-    memo_speedup
-    (match par with Some (_, s) -> Printf.sprintf "%.3f" (seq_s /. s) | None -> "null")
-    identical built_seq (Config_space.name space) stream_points
-    Sweep.default_block_size stream_s stream_pps
-    (List.length s_cold.Sweep.ss_front)
-    resume_identical peak_rss_mb;
-  close_out oc;
-  print_endline "wrote BENCH_sweep.json"
+  let par_num f =
+    Option.fold par ~none:Minijson.Null ~some:(fun (_, s) -> Minijson.Num (f s))
+  in
+  Harness.write_report "BENCH_sweep.json"
+    Minijson.
+      [
+        ("benchmark", Str bench);
+        ("configs", int n_configs);
+        ("jobs_requested", int jobs_requested);
+        ("jobs_effective", int jobs);
+        ("cores_available", int (Domain.recommended_domain_count ()));
+        ("rebuild_seconds", Num rebuild_s);
+        ("seq_seconds", Num seq_s);
+        ("par_seconds", par_num Fun.id);
+        ("points_per_sec_seq", Num (pps seq_s));
+        ("points_per_sec_par", par_num pps);
+        ("memo_speedup", Num memo_speedup);
+        ("parallel_speedup", par_num (fun s -> seq_s /. s));
+        ("bit_identical", Bool identical);
+        ("stacks_built_per_sweep", int built_seq);
+        ("stream_space", Str (Config_space.name space));
+        ("stream_points", int stream_points);
+        ("stream_block_size", int Sweep.default_block_size);
+        ("stream_seconds", Num stream_s);
+        ("stream_points_per_sec", Num stream_pps);
+        ("stream_front_points", int (List.length s_cold.Sweep.ss_front));
+        ("stream_resume_identical", Bool resume_identical);
+        ("peak_rss_mb", Num peak_rss_mb);
+      ]
 
 (* ============ Sharded profiling pipeline (this repo's scaling work) ==== *)
 
-(* Faithful replica of the seed's Histogram backend (Hashtbl find/replace
-   per add, full sort per sorted read), used to measure what the dense
-   fast path and the cached sorted view buy on the profiling access
-   pattern. *)
-module Seed_hist = struct
-  type t = { counts : (int, int) Hashtbl.t; mutable total : int }
-
-  let create () = { counts = Hashtbl.create 16; total = 0 }
-
-  let add h ?(count = 1) key =
-    let current = Option.value (Hashtbl.find_opt h.counts key) ~default:0 in
-    Hashtbl.replace h.counts key (current + count);
-    h.total <- h.total + count
-
-  let to_sorted_list h =
-    Hashtbl.fold (fun k c acc -> (k, c) :: acc) h.counts []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-  let quantile_key h q =
-    let target = q *. float_of_int h.total in
-    let rec go acc = function
-      | [] -> invalid_arg "quantile_key"
-      | [ (k, _) ] -> k
-      | (k, c) :: rest ->
-        let acc = acc +. float_of_int c in
-        if acc >= target then k else go acc rest
-    in
-    go 0.0 (to_sorted_list h)
-end
-
 let profile_shards () =
   Table.section
-    "Sharded profiling pipeline — warm-up windows + fast-path histograms";
+    "Sharded profiling pipeline — warm-up windows + exact-shard gate";
   let bench = "gcc" in
   let spec = Benchmarks.find bench in
   let n = 400_000 in
   let seed = Harness.seed in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* --- histogram fast path, measured on the profiler's key mix:
-     overwhelmingly small reuse distances / strides, a thin spill tail. *)
-  let rng = Rng.create 42 in
-  let n_keys = 2_000_000 in
-  let keys =
-    Array.init n_keys (fun _ ->
-        let r = Rng.float rng 1.0 in
-        if r < 0.90 then Rng.geometric rng 0.02 (* small reuse distances *)
-        else if r < 0.95 then 4096 + Rng.int rng 100_000 (* long tail *)
-        else - (64 * (1 + Rng.int rng 64)) (* negative strides *))
-  in
-  let hist_rounds = 10 in
-  let (_ : int), seed_hist_s =
-    time (fun () ->
-        let acc = ref 0 in
-        for _ = 1 to hist_rounds do
-          let h = Seed_hist.create () in
-          Array.iter (fun k -> Seed_hist.add h k) keys;
-          acc := !acc + h.Seed_hist.total
-        done;
-        !acc)
-  in
-  let (_ : int), fast_hist_s =
-    time (fun () ->
-        let acc = ref 0 in
-        for _ = 1 to hist_rounds do
-          let h = Histogram.create () in
-          Array.iter (fun k -> Histogram.add h k) keys;
-          acc := !acc + Histogram.total h
-        done;
-        !acc)
-  in
-  let hist_fastpath_speedup = seed_hist_s /. fast_hist_s in
-  (* --- cached sorted view: quantile loops on a frozen histogram. *)
-  let frozen = Histogram.create () in
-  let frozen_seed = Seed_hist.create () in
-  Array.iter
-    (fun k ->
-      Histogram.add frozen k;
-      Seed_hist.add frozen_seed k)
-    keys;
-  let q_calls = 300 in
-  let (_ : int), q_seed_s =
-    time (fun () ->
-        let acc = ref 0 in
-        for i = 1 to q_calls do
-          acc :=
-            !acc + Seed_hist.quantile_key frozen_seed (float_of_int i /. float_of_int (q_calls + 1))
-        done;
-        !acc)
-  in
-  let (_ : int), q_fast_s =
-    time (fun () ->
-        let acc = ref 0 in
-        for i = 1 to q_calls do
-          acc :=
-            !acc + Histogram.quantile_key frozen (float_of_int i /. float_of_int (q_calls + 1))
-        done;
-        !acc)
-  in
-  let quantile_cached_speedup = q_seed_s /. q_fast_s in
   (* --- profiling throughput: sequential vs sharded pipeline.
      Each timed run keeps only scalars and the serialized string alive,
      and the heap is compacted in between: on this allocation-heavy path
@@ -1555,7 +1450,7 @@ let profile_shards () =
      charged (as GC marking work) to whichever variant runs later. *)
   let profile_stats f =
     Gc.compact ();
-    let p, s = time f in
+    let p, s = Harness.time f in
     let mb = float_of_int (8 * Obj.reachable_words (Obj.repr p)) /. 1e6 in
     (Profile_io.to_string p, Profile.cold_miss_rate p, s, mb)
   in
@@ -1603,43 +1498,30 @@ let profile_shards () =
           Table.fmt_f ~decimals:2 (seq1_s /. sharded_s) ];
       ];
   Printf.printf
-    "histogram fast path: %.2fx on %d adds; cached quantile view: %.2fx on \
-     %d calls\n\
-     profile heap: %.1f MB; unbounded-warm-up shards bit-identical to \
+    "profile heap: %.1f MB; unbounded-warm-up shards bit-identical to \
      jobs:1: %b\n\
      cold-rate error across 4 shard boundaries (warmup %d): %.4f\n"
-    hist_fastpath_speedup (n_keys * hist_rounds) quantile_cached_speedup
-    q_calls profile_mb exact_identical Profiler.default_warmup
-    boundary_cold_error;
-  let oc = open_out "BENCH_profile.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": %S,\n\
-    \  \"n_instructions\": %d,\n\
-    \  \"jobs_requested\": %d,\n\
-    \  \"jobs_effective\": %d,\n\
-    \  \"warmup_instructions\": %d,\n\
-    \  \"cores_available\": %d,\n\
-    \  \"sharded_jobs1_seconds\": %.6f,\n\
-    \  \"sharded_seconds\": %.6f,\n\
-    \  \"instr_per_sec_seq\": %.1f,\n\
-    \  \"instr_per_sec_sharded\": %.1f,\n\
-    \  \"parallel_speedup\": %.3f,\n\
-    \  \"hist_fastpath_speedup\": %.3f,\n\
-    \  \"quantile_cached_speedup\": %.3f,\n\
-    \  \"profile_heap_mb\": %.3f,\n\
-    \  \"cold_rate_seq\": %.6f,\n\
-    \  \"cold_rate_sharded\": %.6f,\n\
-    \  \"boundary_cold_error\": %.6f,\n\
-    \  \"bit_identical\": %b\n\
-     }\n"
-    bench n jobs_requested jobs Profiler.default_warmup
-    (Domain.recommended_domain_count ())
-    seq1_s sharded_s (ips seq1_s) (ips sharded_s)
-    (seq1_s /. sharded_s) hist_fastpath_speedup quantile_cached_speedup
-    profile_mb seq_cold warm_cold boundary_cold_error exact_identical;
-  close_out oc;
-  print_endline "wrote BENCH_profile.json"
+    profile_mb exact_identical Profiler.default_warmup boundary_cold_error;
+  Harness.write_report "BENCH_profile.json"
+    Minijson.
+      [
+        ("benchmark", Str bench);
+        ("n_instructions", int n);
+        ("jobs_requested", int jobs_requested);
+        ("jobs_effective", int jobs);
+        ("warmup_instructions", int Profiler.default_warmup);
+        ("cores_available", int (Domain.recommended_domain_count ()));
+        ("sharded_jobs1_seconds", Num seq1_s);
+        ("sharded_seconds", Num sharded_s);
+        ("instr_per_sec_seq", Num (ips seq1_s));
+        ("instr_per_sec_sharded", Num (ips sharded_s));
+        ("parallel_speedup", Num (seq1_s /. sharded_s));
+        ("profile_heap_mb", Num profile_mb);
+        ("cold_rate_seq", Num seq_cold);
+        ("cold_rate_sharded", Num warm_cold);
+        ("boundary_cold_error", Num boundary_cold_error);
+        ("bit_identical", Bool exact_identical);
+      ]
 
 (* ====== Fault-isolated, checkpointed sweeps (this repo's robustness work) *)
 
@@ -1851,103 +1733,32 @@ let sweep_faults () =
                   an uninterrupted sweep";
       if not isolation_ok then
         failwith "sweep_faults: poisoned config was not isolated";
-      let oc = open_out "BENCH_faults.json" in
-      Printf.fprintf oc
-        "{\n\
-        \  \"benchmark\": %S,\n\
-        \  \"configs\": %d,\n\
-        \  \"block_size\": %d,\n\
-        \  \"blocks_per_sweep\": %d,\n\
-        \  \"plain_seconds\": %.6f,\n\
-        \  \"checkpointed_seconds\": %.6f,\n\
-        \  \"checkpoint_overhead\": %.4f,\n\
-        \  \"checkpoint_us_per_point\": %.2f,\n\
-        \  \"per_point_gate_us\": 25.0,\n\
-        \  \"stream_points\": %d,\n\
-        \  \"stream_plain_seconds\": %.6f,\n\
-        \  \"stream_checkpointed_seconds\": %.6f,\n\
-        \  \"stream_checkpoint_overhead\": %.4f,\n\
-        \  \"stream_overhead_gate\": 0.10,\n\
-        \  \"resumed_points\": %d,\n\
-        \  \"recovery_bit_identical\": %b,\n\
-        \  \"poisoned_config_isolated\": %b\n\
-         }\n"
-        bench n_configs block_size blocks plain_s ckpt_s
-        overhead per_point_us stream_points stream_plain_s stream_ckpt_s
-        stream_overhead prefix recovery_ok isolation_ok;
-      close_out oc;
-      print_endline "wrote BENCH_faults.json")
-
-(* ================= validate_accuracy: model-vs-simulator error ========= *)
-
-(* The standing accuracy regression: both engines over the simulation
-   subspace for the three checked-in workload files, per-component error
-   tables, and a hard gate on the aggregate mean absolute CPI error.
-   This is the bench-side twin of `mipp validate` (same library, same
-   JSON schema), so CI can gate on either. *)
-let validate_accuracy () =
-  Table.section "Model-vs-simulator accuracy (validation harness)";
-  let workload_dir =
-    match
-      List.find_opt
-        (fun d -> Sys.file_exists (Filename.concat d "streaming_fp.workload"))
-        [ "workloads"; "../workloads"; "../../workloads" ]
-    with
-    | Some d -> d
-    | None -> failwith "validate_accuracy: cannot locate the workloads/ directory"
-  in
-  let specs =
-    List.map
-      (fun name ->
-        match Workload_parser.load (Filename.concat workload_dir name) with
-        | Ok spec -> spec
-        | Error ft -> failwith ("validate_accuracy: " ^ Fault.to_string ft))
-      [ "branchy_interpreter.workload"; "pointer_soup.workload";
-        "streaming_fp.workload" ]
-  in
-  let configs = Validate.matrix_configs `Sim in
-  let reports =
-    List.map
-      (fun spec ->
-        match
-          Validate.run_workload ~jobs:Harness.jobs ~seed:Harness.seed
-            ~n_instructions:Harness.n_space ~spec configs
-        with
-        | Ok wr -> wr
-        | Error ft -> failwith ("validate_accuracy: " ^ Fault.to_string ft))
-      specs
-  in
-  let report = Validate.summarize reports in
-  List.iter (Validate.print_workload_report stdout) reports;
-  Printf.printf
-    "aggregate over %d points: mean signed CPI error %+.2f%%, MAPE %.2f%%\n"
-    report.Validate.rp_total_points
-    (100.0 *. report.rp_mean_signed)
-    (100.0 *. report.rp_mape);
-  (* Hard acceptance gates (ISSUE): every point must evaluate, and the
-     aggregate mean absolute CPI error must stay under the gate. *)
-  if report.rp_total_ok <> report.rp_total_points then
-    failwith
-      (Printf.sprintf "validate_accuracy: %d of %d points faulted"
-         (report.rp_total_points - report.rp_total_ok)
-         report.rp_total_points);
-  if not (Validate.passes_gate report ~gate:Validate.default_gate) then
-    failwith
-      (Printf.sprintf
-         "validate_accuracy: aggregate MAPE %.2f%% exceeds the %.0f%% gate"
-         (100.0 *. report.rp_mape)
-         (100.0 *. Validate.default_gate));
-  (match Validate.save_json ~gate:Validate.default_gate "BENCH_accuracy.json"
-           report
-   with
-  | Ok () -> ()
-  | Error ft -> failwith ("validate_accuracy: " ^ Fault.to_string ft));
-  print_endline "wrote BENCH_accuracy.json"
+      Harness.write_report "BENCH_faults.json"
+        Minijson.
+          [
+            ("benchmark", Str bench);
+            ("configs", int n_configs);
+            ("block_size", int block_size);
+            ("blocks_per_sweep", int blocks);
+            ("plain_seconds", Num plain_s);
+            ("checkpointed_seconds", Num ckpt_s);
+            ("checkpoint_overhead", Num overhead);
+            ("checkpoint_us_per_point", Num per_point_us);
+            ("per_point_gate_us", Num 25.0);
+            ("stream_points", int stream_points);
+            ("stream_plain_seconds", Num stream_plain_s);
+            ("stream_checkpointed_seconds", Num stream_ckpt_s);
+            ("stream_checkpoint_overhead", Num stream_overhead);
+            ("stream_overhead_gate", Num 0.10);
+            ("resumed_points", int prefix);
+            ("recovery_bit_identical", Bool recovery_ok);
+            ("poisoned_config_isolated", Bool isolation_ok);
+          ])
 
 (* ================= calibrate: grey-box residual calibration =========== *)
 
 (* The calibration regression: train the residual calibrator on the same
-   matrix validate_accuracy gates on, and hold it to the hard ISSUE
+   matrix the CI `mipp validate` step gates on, and hold it to hard
    gates — held-out calibrated MAPE at most half the uncalibrated
    baseline (4.33%), byte-identical re-training, and bit-exact
    application across job counts. *)
@@ -2039,41 +1850,36 @@ let calibrate_bench () =
   Printf.printf
     "  re-train byte-identical: %b; -j 1 vs -j 4 apply bit-exact: %b\n"
     deterministic jobs_exact;
-  let oc = open_out "BENCH_calibrate.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"n_rows\": %d,\n\
-    \  \"n_train\": %d,\n\
-    \  \"n_holdout\": %d,\n\
-    \  \"n_features\": %d,\n\
-    \  \"train_uncal_mape\": %.6f,\n\
-    \  \"train_cal_mape\": %.6f,\n\
-    \  \"holdout_uncal_mape\": %.6f,\n\
-    \  \"holdout_cal_mape\": %.6f,\n\
-    \  \"gate\": %.6f,\n\
-    \  \"gate_passed\": %b,\n\
-    \  \"retrain_byte_identical\": %b,\n\
-    \  \"jobs_bit_exact\": %b,\n\
-    \  \"matrix_seconds\": %.3f,\n\
-    \  \"train_seconds\": %.3f,\n\
-    \  \"workloads\": {%s}\n\
-     }\n"
-    (List.length rows) ev.ev_train.se_n ev.ev_holdout.se_n
-    (List.length model.Calibrate.c_feature_names)
-    ev.ev_train.se_uncal_mape ev.ev_train.se_cal_mape
-    ev.ev_holdout.se_uncal_mape ev.ev_holdout.se_cal_mape
-    Calibrate.default_gate
-    (Calibrate.passes_gate ev ~gate:Calibrate.default_gate)
-    deterministic jobs_exact matrix_s train_s
-    (String.concat ", "
-       (List.map
-          (fun (w, (e : Calibrate.set_error)) ->
-            Printf.sprintf
-              "\"%s\": {\"uncal_mape\": %.6f, \"cal_mape\": %.6f}" w
-              e.se_uncal_mape e.se_cal_mape)
-          ev.ev_workloads));
-  close_out oc;
-  print_endline "wrote BENCH_calibrate.json"
+  Harness.write_report "BENCH_calibrate.json"
+    Minijson.
+      [
+        ("n_rows", int (List.length rows));
+        ("n_train", int ev.ev_train.se_n);
+        ("n_holdout", int ev.ev_holdout.se_n);
+        ("n_features", int (List.length model.Calibrate.c_feature_names));
+        ("train_uncal_mape", Num ev.ev_train.se_uncal_mape);
+        ("train_cal_mape", Num ev.ev_train.se_cal_mape);
+        ("holdout_uncal_mape", Num ev.ev_holdout.se_uncal_mape);
+        ("holdout_cal_mape", Num ev.ev_holdout.se_cal_mape);
+        ("gate", Num Calibrate.default_gate);
+        ( "gate_passed",
+          Bool (Calibrate.passes_gate ev ~gate:Calibrate.default_gate) );
+        ("retrain_byte_identical", Bool deterministic);
+        ("jobs_bit_exact", Bool jobs_exact);
+        ("matrix_seconds", Num matrix_s);
+        ("train_seconds", Num train_s);
+        ( "workloads",
+          Obj
+            (List.map
+               (fun (w, (e : Calibrate.set_error)) ->
+                 ( w,
+                   Obj
+                     [
+                       ("uncal_mape", Num e.se_uncal_mape);
+                       ("cal_mape", Num e.se_cal_mape);
+                     ] ))
+               ev.ev_workloads) );
+      ]
 
 (* ================= Driver ================= *)
 
@@ -2297,32 +2103,28 @@ let serve_bench () =
   if !sheds = 0 || !oks = 0 then
     failwith "serve: overload burst did not both serve and shed";
 
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"benchmark\": \"gcc\",\n\
-    \  \"clients\": %d,\n\
-    \  \"queries\": %d,\n\
-    \  \"queries_per_second\": %.1f,\n\
-    \  \"qps_gate\": 1000.0,\n\
-    \  \"p50_us\": %.1f,\n\
-    \  \"p99_us\": %.1f,\n\
-    \  \"crash_storm\": %d,\n\
-    \  \"crashes_counted\": %d,\n\
-    \  \"workers_respawned\": %d,\n\
-    \  \"malformed_frames\": %d,\n\
-    \  \"malformed_answered\": %d,\n\
-    \  \"slow_loris_connections\": %d,\n\
-    \  \"slow_loris_reaped\": %b,\n\
-    \  \"overload_burst\": %d,\n\
-    \  \"overload_served\": %d,\n\
-    \  \"overload_shed\": %d,\n\
-    \  \"drain_seconds\": %.3f\n\
-     }\n"
-    clients queries qps p50_us p99_us storm crashes respawns malformed
-    !answered loris reaped burst !oks !sheds drain_s;
-  close_out oc;
-  print_endline "wrote BENCH_serve.json"
+  Harness.write_report "BENCH_serve.json"
+    Minijson.
+      [
+        ("benchmark", Str "gcc");
+        ("clients", int clients);
+        ("queries", int queries);
+        ("queries_per_second", Num qps);
+        ("qps_gate", Num 1000.0);
+        ("p50_us", Num p50_us);
+        ("p99_us", Num p99_us);
+        ("crash_storm", int storm);
+        ("crashes_counted", int crashes);
+        ("workers_respawned", int respawns);
+        ("malformed_frames", int malformed);
+        ("malformed_answered", int !answered);
+        ("slow_loris_connections", int loris);
+        ("slow_loris_reaped", Bool reaped);
+        ("overload_burst", int burst);
+        ("overload_served", int !oks);
+        ("overload_shed", int !sheds);
+        ("drain_seconds", Num drain_s);
+      ]
 
 let experiments =
   [
@@ -2362,10 +2164,8 @@ let experiments =
     ("prefetchers", "next-line vs stride prefetcher (sim)", prefetchers);
     ("speedup", "model vs simulation throughput", speedup);
     ("dse_sweep", "parallel sweep engine + StatStack memoization", dse_sweep);
-    ("profile_shards", "sharded profiling + fast-path histograms", profile_shards);
+    ("profile_shards", "sharded profiling + exact-shard gate", profile_shards);
     ("sweep_faults", "fault isolation + checkpointed sweep overhead", sweep_faults);
-    ("validate_accuracy", "model-vs-simulator CPI-stack error + gate",
-     validate_accuracy);
     ("calibrate", "grey-box calibration: held-out MAPE + determinism gates",
      calibrate_bench);
     ("serve", "serving daemon: qps, tail latency, fault drills", serve_bench);

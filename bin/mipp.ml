@@ -252,7 +252,7 @@ let sim_rows (r : Sim_result.t) breakdown =
   @ List.map
       (fun (name, v) ->
         [ "CPI: " ^ name; Table.fmt_f (v /. float_of_int r.r_instructions) ])
-      (Sim_result.stack_components r.r_stack)
+      (Cpi_stack.labeled_alist r.r_stack)
 
 let simulate_cmd =
   let run bench n seed config prefetch spec_file =

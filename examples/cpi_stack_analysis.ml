@@ -23,7 +23,7 @@ let analyze name =
       (Cpi_stack.labeled_alist pred.pr_components)
   in
   let sim_parts =
-    List.map (fun (_, v) -> v /. si) (Sim_result.stack_components sim.r_stack)
+    List.map (fun (_, v) -> v /. si) (Cpi_stack.labeled_alist sim.r_stack)
   in
   Table.section (Printf.sprintf "CPI stack: %s" name);
   Table.print

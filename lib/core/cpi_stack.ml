@@ -1,7 +1,7 @@
 (* The shared keyed CPI-stack representation.
 
    Both the analytical model (Interval_model.pr_components) and the
-   cycle simulator (Sim_result.stack) decompose execution time into the
+   cycle simulator (Sim_result.r_stack) decompose execution time into the
    same five interval-analysis components.  Before this module each side
    carried its own record and its own positional (string * float) list,
    so a diff had to trust that the labels lined up; here the component

@@ -1,27 +1,9 @@
-type stack = {
-  s_base : float;
-  s_branch : float;
-  s_icache : float;
-  s_llc_hit : float;
-  s_dram : float;
-}
-
-let stack_total s = s.s_base +. s.s_branch +. s.s_icache +. s.s_llc_hit +. s.s_dram
-
-(* Same keyed representation as Interval_model.pr_components, so a
-   model stack and a simulator stack diff by Cpi_stack.component. *)
-let keyed_stack s =
-  Cpi_stack.of_values ~base:s.s_base ~branch:s.s_branch ~icache:s.s_icache
-    ~llc_hit:s.s_llc_hit ~dram:s.s_dram
-
-let stack_components s = Cpi_stack.labeled_alist (keyed_stack s)
-
 type t = {
   r_name : string;
   r_cycles : int;
   r_instructions : int;
   r_uops : int;
-  r_stack : stack;
+  r_stack : Cpi_stack.t;
   r_branches : int;
   r_branch_mispredicts : int;
   r_l1d : Hierarchy.level_stats;
@@ -41,9 +23,8 @@ let cpi t =
   else float_of_int t.r_cycles /. float_of_int t.r_instructions
 
 let cpi_stack t =
-  let k = keyed_stack t.r_stack in
-  if t.r_instructions = 0 then Cpi_stack.scale k 0.0
-  else Cpi_stack.scale k (1.0 /. float_of_int t.r_instructions)
+  if t.r_instructions = 0 then Cpi_stack.scale t.r_stack 0.0
+  else Cpi_stack.scale t.r_stack (1.0 /. float_of_int t.r_instructions)
 
 let cpi_per_uop t =
   if t.r_uops = 0 then 0.0 else float_of_int t.r_cycles /. float_of_int t.r_uops
@@ -61,4 +42,4 @@ let branch_mpki t =
 
 let dram_wait_cpi t =
   if t.r_instructions = 0 then 0.0
-  else t.r_stack.s_dram /. float_of_int t.r_instructions
+  else Cpi_stack.get t.r_stack Cpi_stack.Dram /. float_of_int t.r_instructions

@@ -1,31 +1,17 @@
 (** Output of one cycle-level simulation run. *)
 
-(** Cycle accounting in the interval-model vocabulary: cycles with forward
-    progress are [base]; stall cycles are attributed to the miss event that
-    blocked dispatch or commit. *)
-type stack = {
-  s_base : float;
-  s_branch : float;
-  s_icache : float;
-  s_llc_hit : float;  (** blocked on loads served by L2/L3 *)
-  s_dram : float;  (** blocked on loads served by DRAM *)
-}
-
-val stack_total : stack -> float
-
-val keyed_stack : stack -> Cpi_stack.t
-(** The canonical keyed view — the same {!Cpi_stack.component} keys the
-    analytical model emits, so the two engines diff structurally. *)
-
-val stack_components : stack -> (string * float) list
-(** [Cpi_stack.labeled_alist] of [keyed_stack] — kept for printing. *)
-
 type t = {
   r_name : string;
   r_cycles : int;
   r_instructions : int;
   r_uops : int;
-  r_stack : stack;
+  r_stack : Cpi_stack.t;
+      (** Cycle accounting in the interval-model vocabulary, in cycles:
+          cycles with forward progress are [Base]; stall cycles go to
+          the miss event that blocked dispatch or commit ([Llc_hit]:
+          loads served by L2/L3, [Dram]: loads served by DRAM).  The
+          same keyed type the analytical model emits, so the two
+          engines diff structurally. *)
   r_branches : int;
   r_branch_mispredicts : int;
   r_l1d : Hierarchy.level_stats;
@@ -45,8 +31,8 @@ val cpi : t -> float
 (** Cycles per instruction. *)
 
 val cpi_stack : t -> Cpi_stack.t
-(** The measured CPI stack per instruction: [keyed_stack r_stack] scaled
-    by [1 / r_instructions] (all-zero when no instructions ran). *)
+(** The measured CPI stack per instruction: [r_stack] scaled by
+    [1 / r_instructions] (all-zero when no instructions ran). *)
 
 val cpi_per_uop : t -> float
 

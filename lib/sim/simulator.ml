@@ -9,9 +9,6 @@ let real = { no_branch_miss = false; no_icache_miss = false; no_dcache_miss = fa
 let classes = Array.of_list Isa.all_classes
 let perfect = { no_branch_miss = true; no_icache_miss = true; no_dcache_miss = true }
 
-(* Dispatch-stall reasons, for cycle accounting. *)
-type reason = R_base | R_branch | R_icache | R_llc_hit | R_dram
-
 let not_done = max_int
 
 type state = {
@@ -45,7 +42,7 @@ type state = {
   fu_busy : int array array;  (* per class: busy-until per unit instance *)
   (* Front-end state. *)
   mutable fetch_resume_at : int;
-  mutable resume_reason : reason;
+  mutable resume_reason : Cpi_stack.component;  (* stall reason *)
   mutable blocking_branch : int;  (* global idx of unresolved mispredict; -1 *)
   mutable pending_uop : Isa.uop option;
   mutable pending_icache_done : bool;
@@ -70,7 +67,7 @@ type state = {
   mutable dram_loads : int;
   mutable dram_stores : int;
   mutable l1i_accesses : int;
-  stall_cycles : float array;  (* indexed by reason *)
+  stall_cycles : float array;  (* indexed by Cpi_stack.index *)
   uops_by_class : int array;
   (* Time series. *)
   ts_interval : int;
@@ -78,13 +75,6 @@ type state = {
   mutable ts_last_instr : int;
   mutable ts : (int * float) list;
 }
-
-let reason_index = function
-  | R_base -> 0
-  | R_branch -> 1
-  | R_icache -> 2
-  | R_llc_hit -> 3
-  | R_dram -> 4
 
 let create ?shared_l3 ?shared_bus cfg idl gen ~n_instructions ~ts_interval =
   let cap = cfg.Uarch.core.rob_size in
@@ -124,7 +114,7 @@ let create ?shared_l3 ?shared_bus cfg idl gen ~n_instructions ~ts_interval =
           | Some fu when not fu.pipelined -> Array.make fu.unit_count (-1)
           | _ -> [||]);
     fetch_resume_at = 0;
-    resume_reason = R_base;
+    resume_reason = Cpi_stack.Base;
     blocking_branch = -1;
     pending_uop = None;
     pending_icache_done = false;
@@ -146,7 +136,7 @@ let create ?shared_l3 ?shared_bus cfg idl gen ~n_instructions ~ts_interval =
     dram_loads = 0;
     dram_stores = 0;
     l1i_accesses = 0;
-    stall_cycles = Array.make 5 0.0;
+    stall_cycles = Array.make Cpi_stack.n_components 0.0;
     uops_by_class = Array.make n_class 0;
     ts_interval;
     ts_last_cycle = 0;
@@ -379,11 +369,11 @@ let issue_stage t =
 let dispatch_stage t =
   let core = t.cfg.Uarch.core in
   let dispatched = ref 0 in
-  let stall = ref R_base in
+  let stall = ref Cpi_stack.Base in
   let blocked = ref false in
   while (not !blocked) && !dispatched < core.dispatch_width do
     if t.blocking_branch >= 0 then begin
-      stall := R_branch;
+      stall := Cpi_stack.Branch;
       blocked := true
     end
     else if t.cycle < t.fetch_resume_at then begin
@@ -394,14 +384,14 @@ let dispatch_stage t =
       (* ROB full: attribute to what blocks the head. *)
       let hs = slot t t.head in
       stall :=
-        (if t.e_issued.(hs) && t.e_done.(hs) > t.cycle && t.e_level.(hs) = 3 then R_dram
+        (if t.e_issued.(hs) && t.e_done.(hs) > t.cycle && t.e_level.(hs) = 3 then Cpi_stack.Dram
          else if t.e_issued.(hs) && t.e_done.(hs) > t.cycle
-                 && (t.e_level.(hs) = 1 || t.e_level.(hs) = 2) then R_llc_hit
-         else R_base);
+                 && (t.e_level.(hs) = 1 || t.e_level.(hs) = 2) then Cpi_stack.Llc_hit
+         else Cpi_stack.Base);
       blocked := true
     end
     else if t.iq_len >= core.issue_queue_size then begin
-      stall := R_base;
+      stall := Cpi_stack.Base;
       blocked := true
     end
     else begin
@@ -420,7 +410,7 @@ let dispatch_stage t =
               let penalty = inst_fetch_penalty t level in
               if penalty > 0 then begin
                 t.fetch_resume_at <- t.cycle + penalty;
-                t.resume_reason <- R_icache;
+                t.resume_reason <- Cpi_stack.Icache;
                 true
               end
               else false
@@ -430,7 +420,7 @@ let dispatch_stage t =
         in
         if icache_stall then begin
           (* The micro-op stays pending; it dispatches after the fill. *)
-          stall := R_icache;
+          stall := Cpi_stack.Icache;
           blocked := true
         end
         else begin
@@ -523,7 +513,7 @@ let step t =
     let s = slot t t.blocking_branch in
     if t.e_issued.(s) && t.e_done.(s) <= t.cycle then begin
       t.fetch_resume_at <- t.e_done.(s) + t.cfg.Uarch.core.frontend_depth;
-      t.resume_reason <- R_branch;
+      t.resume_reason <- Cpi_stack.Branch;
       t.blocking_branch <- -1
     end
   end;
@@ -536,12 +526,12 @@ let step t =
    core's clock. *)
 let account t ~committed ~issued ~dispatched ~stall ~delta =
   let reason =
-    if dispatched > 0 then R_base
+    if dispatched > 0 then Cpi_stack.Base
     else if committed > 0 || issued then stall
     else stall
   in
-  t.stall_cycles.(reason_index reason) <-
-    t.stall_cycles.(reason_index reason) +. float_of_int delta;
+  let i = Cpi_stack.index reason in
+  t.stall_cycles.(i) <- t.stall_cycles.(i) +. float_of_int delta;
   t.cycle <- t.cycle + delta
 
 let build_result t name =
@@ -551,15 +541,6 @@ let build_result t name =
   let im1 = Hierarchy.inst_misses t.hier Hierarchy.L1 in
   let im2 = Hierarchy.inst_misses t.hier Hierarchy.L2 in
   let im3 = Hierarchy.inst_misses t.hier Hierarchy.L3 in
-  let stack =
-    {
-      Sim_result.s_base = t.stall_cycles.(0);
-      s_branch = t.stall_cycles.(1);
-      s_icache = t.stall_cycles.(2);
-      s_llc_hit = t.stall_cycles.(3);
-      s_dram = t.stall_cycles.(4);
-    }
-  in
   let activity =
     {
       Power.a_cycles = float_of_int t.cycle;
@@ -578,7 +559,7 @@ let build_result t name =
     r_cycles = t.cycle;
     r_instructions = t.committed_instructions;
     r_uops = t.committed_uops;
-    r_stack = stack;
+    r_stack = Cpi_stack.make (fun c -> t.stall_cycles.(Cpi_stack.index c));
     r_branches = t.branches;
     r_branch_mispredicts = t.branch_miss;
     r_l1d = l1d;

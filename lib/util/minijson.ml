@@ -41,8 +41,8 @@ let literal st word value =
   else fail st.pos (Printf.sprintf "expected %s" word)
 
 (* UTF-8-encode one \uXXXX code point.  Surrogate pairs are not
-   recombined — the repo's own printers only escape ASCII control
-   characters, so lone escapes below U+0800 are the realistic input. *)
+   recombined — the writer below only escapes ASCII control characters,
+   so lone escapes below U+0800 are the realistic input. *)
 let add_codepoint buf cp =
   if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
   else if cp < 0x800 then begin
@@ -197,8 +197,92 @@ let to_float = function
   | Str s -> float_of_string_opt s
   | _ -> None
 
-let to_string = function Str s -> Some s | _ -> None
+let to_str = function Str s -> Some s | _ -> None
 
 let to_int = function
   | Num v when Float.is_integer v -> Some (int_of_float v)
   | _ -> None
+
+let int n = Num (float_of_int n)
+
+(* ---- Writer ---- *)
+
+(* RFC 8259 string escaping: the quote, the backslash and the control
+   bytes below 0x20; every other byte (UTF-8 included) is copied. *)
+let add_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | '\012' -> Buffer.add_string buf "\\f"
+      | c when Char.code c < 0x20 -> Printf.bprintf buf "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+(* The shortest of %.15g/%.16g/%.17g that reads back to the same float
+   (%.17g always does), so integral values print as integers. *)
+let number v =
+  if not (Float.is_finite v) then "null"
+  else
+    let s15 = Printf.sprintf "%.15g" v in
+    if float_of_string s15 = v then s15
+    else
+      let s16 = Printf.sprintf "%.16g" v in
+      if float_of_string s16 = v then s16 else Printf.sprintf "%.17g" v
+
+let is_scalar = function Arr _ | Obj _ -> false | _ -> true
+
+let to_string v =
+  let buf = Buffer.create 4096 in
+  (* One item per line, indented two spaces past the enclosing line. *)
+  let block indent opening closing write_item items =
+    Buffer.add_char buf opening;
+    List.iteri
+      (fun i item ->
+        Buffer.add_string buf (if i = 0 then "\n" else ",\n");
+        Buffer.add_string buf indent;
+        Buffer.add_string buf "  ";
+        write_item item)
+      items;
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf indent;
+    Buffer.add_char buf closing
+  in
+  let rec write indent = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (string_of_bool b)
+    | Num v -> Buffer.add_string buf (number v)
+    | Str s -> add_string buf s
+    | Arr [] -> Buffer.add_string buf "[]"
+    | Obj [] -> Buffer.add_string buf "{}"
+    | Arr items when List.for_all is_scalar items ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i item ->
+          if i > 0 then Buffer.add_string buf ", ";
+          write indent item)
+        items;
+      Buffer.add_char buf ']'
+    | Arr items -> block indent '[' ']' (write (indent ^ "  ")) items
+    | Obj members ->
+      block indent '{' '}'
+        (fun (key, v) ->
+          add_string buf key;
+          Buffer.add_string buf ": ";
+          write (indent ^ "  ") v)
+        members
+  in
+  write "" v;
+  Buffer.contents buf
+
+let save path v =
+  Fault.protect ~context:path (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (to_string v);
+          output_char oc '\n'))

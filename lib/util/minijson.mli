@@ -1,12 +1,10 @@
-(** A minimal recursive-descent JSON reader.
+(** A minimal JSON reader and writer.
 
-    The repo emits several machine-readable JSON reports
-    ([BENCH_*.json], the calibration training matrix) with hand-rolled
-    printers; this is the matching reader for the subset we emit —
-    objects, arrays, strings (with the standard escapes), numbers,
-    booleans and null — so typed values can round-trip through JSON
-    without an external dependency.  Numbers are parsed as [float];
-    object member order is preserved. *)
+    Every machine-readable JSON report the repo writes ([BENCH_*.json],
+    the accuracy report, the calibration training matrix) is built as a
+    {!t} and printed by {!to_string}; {!parse} reads the same documents
+    back, so typed values round-trip through JSON without an external
+    dependency.  Numbers are [float]s; object member order is kept. *)
 
 type t =
   | Null
@@ -35,5 +33,24 @@ val to_float : t -> float option
     reports write bit-exact floats as ["0x1.5p3"]-style hex strings,
     which JSON numbers cannot carry. *)
 
-val to_string : t -> string option
+val to_str : t -> string option
 val to_int : t -> int option
+
+val int : int -> t
+(** [Num (float_of_int n)]. *)
+
+(** {1 Writer} *)
+
+val to_string : t -> string
+(** The document, without a trailing newline.  Strings are escaped per
+    RFC 8259 (['"'], ['\\'] and control bytes; bytes >= 0x80 are copied,
+    so UTF-8 passes through).  A [Num] prints as the shortest of
+    [%.15g]/[%.16g]/[%.17g] that reads back to the same float — [243]
+    for integral values — and a non-finite one as [null].  Members keep
+    their order; objects and arrays holding an object or an array put
+    one item per line at two-space indentation, other arrays stay on
+    one line; members print as ["key": value].
+    [parse (to_string v)] is [Ok v] for every [v] with finite numbers. *)
+
+val save : string -> t -> (unit, Fault.t) result
+(** Write [to_string v] and a newline to the file. *)

@@ -340,107 +340,74 @@ let run_workload ?(options = Interval_model.default_options) ?jobs ?checkpoint
 
 let passes_gate rp ~gate = rp.rp_total_ok > 0 && rp.rp_mape <= gate
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Faulted points are reported as fault strings, so every number below
+   is finite: none prints as the writer's [null]. *)
+let to_json ~gate rp =
+  let open Minijson in
+  let workload wr =
+    let component ce =
+      Obj
+        [
+          ("component", Str (Cpi_stack.to_string ce.ce_component));
+          ("model_cpi", Num ce.ce_model_cpi);
+          ("sim_cpi", Num ce.ce_sim_cpi);
+          ("signed", Num ce.ce_signed);
+          ("abs", Num ce.ce_abs);
+        ]
+    in
+    let trend rows = Arr (List.map (fun (k, e) -> Arr [ int k; Num e ]) rows) in
+    let fault (idx, ft) =
+      Obj [ ("index", int idx); ("fault", Str (Fault.to_line ft)) ]
+    in
+    let point pt =
+      Obj
+        [
+          ("index", int pt.vp_index);
+          ("uarch", Str pt.vp_uarch.Uarch.name);
+          ("model_cpi", Num pt.vp_model_cpi);
+          ("sim_cpi", Num pt.vp_sim_cpi);
+          ("signed_error", Num (signed_error pt));
+        ]
+    in
+    Obj
+      [
+        ("workload", Str wr.wr_workload);
+        ("points_total", int wr.wr_n_points);
+        ("points_ok", int (List.length wr.wr_points));
+        ("points_resumed", int wr.wr_resumed);
+        ( "cpi_error",
+          Obj
+            [
+              ("mean_signed", Num wr.wr_mean_signed);
+              ("mape", Num wr.wr_mape);
+              ("max_abs", Num wr.wr_max_abs);
+            ] );
+        ( "worst_component",
+          match wr.wr_worst with
+          | None -> Null
+          | Some ce -> Str (Cpi_stack.to_string ce.ce_component) );
+        ("components", Arr (List.map component wr.wr_components));
+        ("rob_trend", trend wr.wr_rob_trend);
+        ("l3_trend", trend wr.wr_l3_trend);
+        ("faults", Arr (List.map fault wr.wr_faults));
+        ("points", Arr (List.map point wr.wr_points));
+      ]
+  in
+  Obj
+    [
+      ("schema", Str "mipp-accuracy-v1");
+      ("gate_mape", Num gate);
+      ("pass", Bool (passes_gate rp ~gate));
+      ("points_total", int rp.rp_total_points);
+      ("points_ok", int rp.rp_total_ok);
+      ( "cpi_error",
+        Obj [ ("mean_signed", Num rp.rp_mean_signed); ("mape", Num rp.rp_mape) ]
+      );
+      ("workloads", Arr (List.map workload rp.rp_workloads));
+    ]
 
-(* JSON has no non-finite literals; faulted points are reported as fault
-   strings and never reach a numeric field, so finite is an invariant
-   here, checked cheaply. *)
-let num v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
-
-let write_json ?(gate = default_gate) oc rp =
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"mipp-accuracy-v1\",\n";
-  p "  \"gate_mape\": %s,\n" (num gate);
-  p "  \"pass\": %b,\n" (passes_gate rp ~gate);
-  p "  \"points_total\": %d,\n" rp.rp_total_points;
-  p "  \"points_ok\": %d,\n" rp.rp_total_ok;
-  p "  \"cpi_error\": { \"mean_signed\": %s, \"mape\": %s },\n"
-    (num rp.rp_mean_signed) (num rp.rp_mape);
-  p "  \"workloads\": [";
-  List.iteri
-    (fun wi wr ->
-      if wi > 0 then p ",";
-      p "\n    {\n";
-      p "      \"workload\": \"%s\",\n" (json_escape wr.wr_workload);
-      p "      \"points_total\": %d,\n" wr.wr_n_points;
-      p "      \"points_ok\": %d,\n" (List.length wr.wr_points);
-      p "      \"points_resumed\": %d,\n" wr.wr_resumed;
-      p
-        "      \"cpi_error\": { \"mean_signed\": %s, \"mape\": %s, \
-         \"max_abs\": %s },\n"
-        (num wr.wr_mean_signed) (num wr.wr_mape) (num wr.wr_max_abs);
-      p "      \"worst_component\": %s,\n"
-        (match wr.wr_worst with
-        | None -> "null"
-        | Some ce ->
-          Printf.sprintf "\"%s\"" (Cpi_stack.to_string ce.ce_component));
-      p "      \"components\": [";
-      List.iteri
-        (fun ci ce ->
-          if ci > 0 then p ",";
-          p
-            "\n        { \"component\": \"%s\", \"model_cpi\": %s, \
-             \"sim_cpi\": %s, \"signed\": %s, \"abs\": %s }"
-            (Cpi_stack.to_string ce.ce_component)
-            (num ce.ce_model_cpi) (num ce.ce_sim_cpi) (num ce.ce_signed)
-            (num ce.ce_abs))
-        wr.wr_components;
-      p "\n      ],\n";
-      let trend_json name rows =
-        p "      \"%s\": [" name;
-        List.iteri
-          (fun i (k, e) ->
-            if i > 0 then p ", ";
-            p "[%d, %s]" k (num e))
-          rows;
-        p "]"
-      in
-      trend_json "rob_trend" wr.wr_rob_trend;
-      p ",\n";
-      trend_json "l3_trend" wr.wr_l3_trend;
-      p ",\n";
-      p "      \"faults\": [";
-      List.iteri
-        (fun i (idx, ft) ->
-          if i > 0 then p ",";
-          p "\n        { \"index\": %d, \"fault\": \"%s\" }" idx
-            (json_escape (Fault.to_line ft)))
-        wr.wr_faults;
-      p "%s],\n" (if wr.wr_faults = [] then "" else "\n      ");
-      p "      \"points\": [";
-      List.iteri
-        (fun i pt ->
-          if i > 0 then p ",";
-          p
-            "\n        { \"index\": %d, \"uarch\": \"%s\", \"model_cpi\": \
-             %s, \"sim_cpi\": %s, \"signed_error\": %s }"
-            pt.vp_index
-            (json_escape pt.vp_uarch.Uarch.name)
-            (num pt.vp_model_cpi) (num pt.vp_sim_cpi)
-            (num (signed_error pt)))
-        wr.wr_points;
-      p "\n      ]\n    }")
-    rp.rp_workloads;
-  p "\n  ]\n}\n"
-
-let save_json ?gate path rp =
-  Fault.protect ~context:("accuracy report " ^ path) (fun () ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> write_json ?gate oc rp))
+let save_json ?(gate = default_gate) path rp =
+  Minijson.save path (to_json ~gate rp)
 
 let print_workload_report oc wr =
   let p fmt = Printf.fprintf oc fmt in
@@ -506,46 +473,27 @@ let matrix_of_report rp =
         wr.wr_points)
     rp.rp_workloads
 
-let hexf v = Printf.sprintf "\"%h\"" v
+let matrix_json rows =
+  let open Minijson in
+  let hexf v = Str (Printf.sprintf "%h" v) in
+  let stack s = Arr (List.map (fun (_, v) -> hexf v) (Cpi_stack.to_alist s)) in
+  let row r =
+    let pt = r.mr_point in
+    Obj
+      [
+        ("workload", Str r.mr_workload);
+        ("index", int pt.vp_index);
+        ("uarch", Str pt.vp_uarch.Uarch.name);
+        ("stats", Obj (List.map (fun (name, v) -> (name, hexf v)) r.mr_stats));
+        ("model_stack", stack pt.vp_model_stack);
+        ("model_cpi", hexf pt.vp_model_cpi);
+        ("sim_stack", stack pt.vp_sim_stack);
+        ("sim_cpi", hexf pt.vp_sim_cpi);
+      ]
+  in
+  Obj [ ("schema", Str "mipp-matrix-v1"); ("rows", Arr (List.map row rows)) ]
 
-let matrix_to_buffer buf rows =
-  let p fmt = Printf.bprintf buf fmt in
-  p "{\n  \"schema\": \"mipp-matrix-v1\",\n  \"rows\": [";
-  List.iteri
-    (fun i row ->
-      if i > 0 then p ",";
-      let pt = row.mr_point in
-      p "\n    { \"workload\": \"%s\", \"index\": %d, \"uarch\": \"%s\",\n"
-        (json_escape row.mr_workload)
-        pt.vp_index
-        (json_escape pt.vp_uarch.Uarch.name);
-      p "      \"stats\": {";
-      List.iteri
-        (fun j (name, v) ->
-          if j > 0 then p ", ";
-          p "\"%s\": %s" (json_escape name) (hexf v))
-        row.mr_stats;
-      p "},\n";
-      let stack name s =
-        p "      \"%s\": [" name;
-        List.iteri
-          (fun j (_, v) ->
-            if j > 0 then p ", ";
-            p "%s" (hexf v))
-          (Cpi_stack.to_alist s);
-        p "]"
-      in
-      stack "model_stack" pt.vp_model_stack;
-      p ",\n      \"model_cpi\": %s,\n" (hexf pt.vp_model_cpi);
-      stack "sim_stack" pt.vp_sim_stack;
-      p ",\n      \"sim_cpi\": %s }" (hexf pt.vp_sim_cpi))
-    rows;
-  p "\n  ]\n}\n"
-
-let matrix_to_json rows =
-  let buf = Buffer.create 4096 in
-  matrix_to_buffer buf rows;
-  Buffer.contents buf
+let matrix_to_json rows = Minijson.to_string (matrix_json rows)
 
 let matrix_context = "training matrix"
 
@@ -555,7 +503,7 @@ let matrix_of_json text =
   let need what = function Some v -> Ok v | None -> bad ("missing " ^ what) in
   let* json = Minijson.parse ~context:matrix_context text in
   let* schema =
-    need "schema" (Option.bind (Minijson.member "schema" json) Minijson.to_string)
+    need "schema" (Option.bind (Minijson.member "schema" json) Minijson.to_str)
   in
   let* () =
     if schema = "mipp-matrix-v1" then Ok ()
@@ -586,9 +534,9 @@ let matrix_of_json text =
     let field what conv =
       need what (Option.bind (Minijson.member what json_row) conv)
     in
-    let* workload = field "workload" Minijson.to_string in
+    let* workload = field "workload" Minijson.to_str in
     let* index = field "index" Minijson.to_int in
-    let* uname = field "uarch" Minijson.to_string in
+    let* uname = field "uarch" Minijson.to_str in
     let* uarch = Uarch.of_name uname in
     let* stats_obj =
       need "stats"
@@ -630,12 +578,7 @@ let matrix_of_json text =
       Ok (row :: acc))
     rows (Ok [])
 
-let save_matrix path rows =
-  Fault.protect ~context:(matrix_context ^ " " ^ path) (fun () ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (matrix_to_json rows)))
+let save_matrix path rows = Minijson.save path (matrix_json rows)
 
 let load_matrix path =
   match

@@ -18,7 +18,7 @@ let test_stack_accounts_all_cycles () =
   List.iter
     (fun name ->
       let r = run name in
-      let total = Sim_result.stack_total r.r_stack in
+      let total = Cpi_stack.total r.r_stack in
       Alcotest.(check (float 1.0))
         (name ^ " stack sums to cycles")
         (float_of_int r.r_cycles) total)
@@ -68,14 +68,15 @@ let test_branch_penalty_visible () =
     run ~ideal:{ Simulator.real with no_branch_miss = true } "sjeng"
   in
   Alcotest.(check bool) "mispredicts occur" true (real.r_branch_mispredicts > 100);
-  Alcotest.(check (float 1e-9)) "oracle branch stack" 0.0 oracle.r_stack.s_branch;
+  Alcotest.(check (float 1e-9)) "oracle branch stack" 0.0
+    (Cpi_stack.get oracle.r_stack Cpi_stack.Branch);
   Alcotest.(check bool) "oracle faster" true (oracle.r_cycles < real.r_cycles)
 
 let test_icache_pressure_ranking () =
   (* gcc (big code) suffers more I-cache stall than libquantum (tiny). *)
   let gcc = run "gcc" and lq = run "libquantum" in
   let per_instr r =
-    r.Sim_result.r_stack.s_icache /. float_of_int r.r_instructions
+    Cpi_stack.get r.Sim_result.r_stack Cpi_stack.Icache /. float_of_int r.r_instructions
   in
   Alcotest.(check bool) "gcc icache >> libquantum" true
     (per_instr gcc > (10.0 *. per_instr lq))
@@ -83,7 +84,7 @@ let test_icache_pressure_ranking () =
 let test_memory_bound_has_dram_component () =
   let r = run "mcf" in
   let dram_share =
-    r.r_stack.s_dram /. float_of_int r.r_cycles
+    Cpi_stack.get r.r_stack Cpi_stack.Dram /. float_of_int r.r_cycles
   in
   Alcotest.(check bool) "mcf DRAM-dominated" true (dram_share > 0.5);
   Alcotest.(check bool) "dram loads happened" true (r.r_dram_loads > 1000)
@@ -157,7 +158,8 @@ let test_activity_factors () =
 let test_slow_llc_shows_llc_component () =
   (* h264ref has L2/L3 traffic: blocked-on-LLC cycles appear. *)
   let r = run "h264ref" in
-  Alcotest.(check bool) "llc-hit component present" true (r.r_stack.s_llc_hit > 0.0)
+  Alcotest.(check bool) "llc-hit component present" true
+    (Cpi_stack.get r.r_stack Cpi_stack.Llc_hit > 0.0)
 
 (* ---- Multi-core (run_shared) ---- *)
 

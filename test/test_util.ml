@@ -1,5 +1,5 @@
 (* Unit and property tests for the util library: Rng, Histogram, Stats,
-   Fit, Int_heap, Table. *)
+   Fit, Int_heap, Table, Parallel, Minijson. *)
 
 let feq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
 
@@ -628,6 +628,112 @@ let prop_parallel_map_equals_list_map =
       Parallel.map ~jobs (fun x -> (x * x) - (3 * x)) xs
       = List.map (fun x -> (x * x) - (3 * x)) xs)
 
+(* ---- Minijson ---- *)
+
+(* Structural equality with numbers compared bit for bit, so a lost sign
+   on -0.0 or a rounded last digit is a mismatch. *)
+let rec json_equal a b =
+  match (a, b) with
+  | Minijson.Num x, Minijson.Num y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Arr xs, Arr ys -> List.equal json_equal xs ys
+  | Obj xs, Obj ys ->
+    List.equal (fun (k, x) (k', y) -> String.equal k k' && json_equal x y) xs ys
+  | _ -> a = b
+
+let json_gen =
+  let open QCheck.Gen in
+  let fragment =
+    oneof
+      [
+        (* quote, backslash, the short escapes, DEL and multi-byte UTF-8 *)
+        oneofl
+          [ "\""; "\\"; "/"; "\n"; "\r"; "\t"; "\b"; "\012"; "\x7f";
+            "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80" ];
+        map (fun c -> String.make 1 (Char.chr c)) (int_range 0 0x1f);
+        map (String.make 1) printable;
+      ]
+  in
+  let str = map (String.concat "") (list_size (int_range 0 6) fragment) in
+  let finite bits =
+    let v = Int64.float_of_bits bits in
+    if Float.is_finite v then v else 1.5
+  in
+  let num =
+    oneof
+      [
+        oneofl
+          [ 0.0; -0.0; 5e-324; Float.min_float /. 3.0; 0x1p53; 0x1p53 +. 2.0;
+            1e300; -1e300; Float.max_float; 0.1; 243.0; -7.0 ];
+        map finite ui64;
+        map (fun n -> float_of_int n) small_signed_int;
+      ]
+  in
+  let leaf =
+    frequency
+      [
+        (1, return Minijson.Null);
+        (1, map (fun b -> Minijson.Bool b) bool);
+        (4, map (fun v -> Minijson.Num v) num);
+        (3, map (fun s -> Minijson.Str s) str);
+      ]
+  in
+  let rec tree depth =
+    if depth = 0 then leaf
+    else
+      let sub = tree (depth - 1) in
+      frequency
+        [
+          (2, leaf);
+          (1, map (fun l -> Minijson.Arr l) (list_size (int_range 0 4) sub));
+          ( 1,
+            map
+              (fun l -> Minijson.Obj l)
+              (list_size (int_range 0 4) (pair str sub)) );
+        ]
+  in
+  tree 4
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"Minijson.parse (to_string v) = v, bit for bit"
+    ~count:500
+    (QCheck.make ~print:Minijson.to_string json_gen)
+    (fun v ->
+      match Minijson.parse ~context:"test" (Minijson.to_string v) with
+      | Ok v' -> json_equal v v'
+      | Error ft -> QCheck.Test.fail_report (Fault.to_string ft))
+
+let test_json_non_finite_is_null () =
+  Alcotest.(check string)
+    "NaN and infinities print as null" "[null, null, null]"
+    (Minijson.to_string
+       (Arr [ Num Float.nan; Num Float.infinity; Num Float.neg_infinity ]))
+
+let test_json_layout () =
+  Alcotest.(check string)
+    "two-space indentation, one line per member, scalar arrays inline"
+    "{\n\
+    \  \"schema\": \"mipp-accuracy-v1\",\n\
+    \  \"points\": 243,\n\
+    \  \"rows\": [\n\
+    \    {\n\
+    \      \"trend\": [48, 0.1],\n\
+    \      \"faults\": []\n\
+    \    }\n\
+    \  ]\n\
+     }"
+    (Minijson.to_string
+       (Obj
+          [
+            ("schema", Str "mipp-accuracy-v1");
+            ("points", Minijson.int 243);
+            ( "rows",
+              Arr
+                [
+                  Obj [ ("trend", Arr [ Num 48.0; Num 0.1 ]); ("faults", Arr []) ];
+                ] );
+          ]))
+
 let () =
   Alcotest.run "util"
     [
@@ -714,5 +820,12 @@ let () =
           Alcotest.test_case "exception propagation" `Quick
             test_parallel_map_propagates_exception;
           QCheck_alcotest.to_alcotest prop_parallel_map_equals_list_map;
+        ] );
+      ( "minijson",
+        [
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          Alcotest.test_case "non-finite is null" `Quick
+            test_json_non_finite_is_null;
+          Alcotest.test_case "layout" `Quick test_json_layout;
         ] );
     ]

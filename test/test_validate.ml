@@ -367,25 +367,68 @@ let test_gate_and_summary () =
     (Validate.passes_gate empty ~gate:1.0)
 
 let test_json_report () =
-  let report = Validate.summarize [] in
+  let model = Cpi_stack.of_values ~base:1.0 ~branch:0.5 ~icache:0.2
+      ~llc_hit:0.1 ~dram:1.0 in
+  let sim = Cpi_stack.scale model (10.0 /. 9.0) in
+  let name = "we\"ird\\name\nwith \xc3\xa9" in
+  let points =
+    [ synthetic_point ~model ~sim; synthetic_point ~model:sim ~sim ]
+  in
+  let report =
+    Validate.summarize
+      [
+        {
+          Validate.wr_workload = name;
+          wr_stats = [];
+          wr_n_points = 3;
+          wr_points = points;
+          wr_faults = [ (2, Fault.numeric "non-finite \"CPI\"") ];
+          wr_resumed = 0;
+          wr_mean_signed = 0.05;
+          wr_mape = 0.05;
+          wr_max_abs = 0.1;
+          wr_components = [];
+          wr_worst = None;
+          wr_rob_trend = [ (64, 0.1); (128, 0.0) ];
+          wr_l3_trend = [];
+        };
+      ]
+  in
   let path = Filename.temp_file "mipp_validate" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Result.get_ok (Validate.save_json path report);
-      let ic = open_in path in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      Alcotest.(check bool) "object braces" true
-        (String.length s > 2 && s.[0] = '{' && String.ends_with ~suffix:"}\n" s);
-      let contains ~needle hay =
-        let nl = String.length needle and hl = String.length hay in
-        let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-        go 0
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let json =
+        match Minijson.parse ~context:path text with
+        | Ok j -> j
+        | Error ft ->
+          Alcotest.failf "report does not parse: %s" (Fault.to_string ft)
       in
-      Alcotest.(check bool) "schema tagged" true
-        (contains ~needle:"mipp-accuracy-v1" s))
+      (* Follow object keys; a numeric step indexes an array. *)
+      let field steps =
+        List.fold_left
+          (fun acc step ->
+            Option.bind acc (fun j ->
+                match int_of_string_opt step with
+                | Some i -> Option.bind (Minijson.to_list j) (Fun.flip List.nth_opt i)
+                | None -> Minijson.member step j))
+          (Some json) steps
+      in
+      Alcotest.(check (option string)) "schema" (Some "mipp-accuracy-v1")
+        (Option.bind (field [ "schema" ]) Minijson.to_str);
+      Alcotest.(check (option int)) "points_total" (Some 3)
+        (Option.bind (field [ "points_total" ]) Minijson.to_int);
+      Alcotest.(check (option string)) "workload name byte-exact" (Some name)
+        (Option.bind (field [ "workloads"; "0"; "workload" ]) Minijson.to_str);
+      Alcotest.(check (option int)) "points listed" (Some 2)
+        (Option.map List.length
+           (Option.bind (field [ "workloads"; "0"; "points" ]) Minijson.to_list));
+      Alcotest.(check (option (float 0.0))) "model CPI exact"
+        (Some (Cpi_stack.total sim))
+        (Option.bind (field [ "workloads"; "0"; "points"; "1"; "model_cpi" ])
+           Minijson.to_float))
 
 let () =
   Alcotest.run "validate"
